@@ -25,15 +25,17 @@ when enough cores are available, so the parity checks still run on
 constrained CI hosts.
 
 Part 3 benchmarks the :class:`~repro.devices.DevicePopulation`
-scheduler redesign: Algorithm 2 selection + Algorithm 3 DVFS at
-Q ∈ {10³, 10⁴} on both the per-device object path and the vectorized
-array path (asserting bitwise-identical picks and frequencies), plus a
-Q = 10⁵ sharded-selection smoke built via ``from_spec`` with no device
-objects at all. ``--scalability-snapshot PATH`` writes the composite
+scheduler: Algorithm 2 selection + Algorithm 3 DVFS at Q ∈ {10³, 10⁴}
+through the library's array kernels against the scalar per-device
+oracles in ``tests/scalar_oracles.py`` (asserting bitwise-identical
+picks and frequencies; the oracle timing is the ``object_s`` baseline),
+plus a Q = 10⁵ sharded-selection smoke built via ``from_spec`` with no
+device objects at all. The oracles live under ``tests/``, so run this
+file with the repository root on the path (``PYTHONPATH=src:.``).
+``--scalability-snapshot PATH`` writes the composite
 ``BENCH_scalability.json`` document — timings plus a traced quick-run
-analytics snapshot that ``python -m repro.obs.report --compare``
-consumes, so CI can fail on >10% regression against the committed
-baseline.
+analytics snapshot whose simulated delay and energy ``python -m
+repro.obs.report --compare`` diffs against the committed baseline.
 
 Part 4 isolates the round *transport*: one ``run_round`` over Q ∈
 {10³, 10⁴} lightweight clients with a ~10⁴-parameter model, through the
@@ -51,12 +53,8 @@ import time
 
 import numpy as np
 
-from repro.core.frequency import (
-    determine_frequencies,
-    determine_frequencies_population,
-)
+from repro.core.frequency import determine_frequencies
 from repro.core.selection import GreedyDecaySelection
-from repro.core.utility import _object_utility_scores
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
@@ -66,6 +64,10 @@ from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import BACKEND_NAMES
 from repro.fl.strategy import selection_count
 from repro.obs import RunObserver
+from tests.scalar_oracles import (
+    object_determine_frequencies,
+    object_greedy_decay_rounds,
+)
 
 TIMER_STAGES = ("selection", "frequency_assignment", "run_round", "aggregation")
 
@@ -298,26 +300,17 @@ def _bench_fleet(q: int, seed: int = 7):
 
 
 def _object_rounds(devices, rounds: int):
-    """The pre-redesign scalar scheduler: Eq. 20 loop, full sort, dict
-    DVFS chain. Kept verbatim as the timing and parity baseline."""
-    counts = {}
-    count = selection_count(len(devices), FRACTION)
+    """The scalar per-device scheduler from ``tests/scalar_oracles.py``:
+    Eq. 20 loop, full sort, dict DVFS chain. The timing and parity
+    baseline."""
     picks, assignments = [], []
-    for _ in range(rounds):
-        scores = _object_utility_scores(
-            devices, counts, PAYLOAD_BITS, BANDWIDTH_HZ, DECAY
-        )
-        ranked = sorted(
-            devices, key=lambda d: (-scores[d.device_id], d.device_id)
-        )
-        selected = ranked[:count]
-        for device in selected:
-            counts[device.device_id] = counts.get(device.device_id, 0) + 1
-        frequencies = determine_frequencies(
-            selected, PAYLOAD_BITS, BANDWIDTH_HZ
-        )
+    for selected in object_greedy_decay_rounds(
+        devices, rounds, FRACTION, PAYLOAD_BITS, BANDWIDTH_HZ, DECAY
+    ):
         picks.append([d.device_id for d in selected])
-        assignments.append(frequencies)
+        assignments.append(
+            object_determine_frequencies(selected, PAYLOAD_BITS, BANDWIDTH_HZ)
+        )
     return picks, assignments
 
 
@@ -329,20 +322,18 @@ def _vector_rounds(population, rounds: int, shard_size=None):
     )
     picks, assignments = [], []
     for round_index in range(1, rounds + 1):
-        positions = strategy.select_population(round_index, population)
-        selected = population.take(positions)
-        assigned = determine_frequencies_population(
-            selected, PAYLOAD_BITS, BANDWIDTH_HZ
-        )
+        positions = strategy.select(round_index, population)
         picks.append(population.device_ids[positions].tolist())
         assignments.append(
-            dict(zip(selected.device_ids.tolist(), assigned.tolist()))
+            determine_frequencies(
+                population.take(positions), PAYLOAD_BITS, BANDWIDTH_HZ
+            )
         )
     return picks, assignments
 
 
 def run_population_study(q_values=(1_000, 10_000), rounds=3, seed=7):
-    """Time object vs vector selection+DVFS; assert bitwise parity.
+    """Time the scalar oracle vs the array scheduler; assert parity.
 
     Returns:
         Mapping from Q to ``{"object_s", "vector_s", "speedup",
@@ -652,7 +643,7 @@ def _main() -> int:
         "--scalability-snapshot",
         metavar="PATH",
         default=None,
-        help="run the Part 3 population study (object vs vector "
+        help="run the Part 3 population study (scalar oracle vs array "
         "scheduler at Q=1e3/1e4 plus the Q=1e5 sharded smoke) and "
         "write the composite BENCH_scalability.json document there; "
         "skips the backend study",

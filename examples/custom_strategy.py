@@ -2,27 +2,34 @@
 """Extending the framework: write and evaluate a custom selection strategy.
 
 Shows the plugin surface a downstream user works against: subclass
-:class:`repro.fl.strategy.SelectionStrategy`, hand it to the trainer,
-and compare against HELCFL on identical conditions.
+:class:`repro.fl.strategy.SelectionStrategy`, implement
+``select(round_index, population)`` returning ranked array positions
+into the :class:`~repro.devices.DevicePopulation` the trainer passes,
+hand it to the trainer, and compare against HELCFL on identical
+conditions.
 
 The example strategy is "loss-proportional" sampling — an Oort-style
 statistical-utility heuristic that prefers users whose data the global
 model currently fits worst (estimated from the previous round's local
-losses).
+losses). A population carries the fleet's numbers, not its datasets,
+so the strategy takes the device objects in its constructor and looks
+them up by ``population.device_ids``.
 
 Usage::
 
     python examples/custom_strategy.py
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.experiments import ExperimentSettings, build_environment, run_strategy
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import SelectionStrategy, selection_count
+from repro.fl.history import TrainingHistory
 from repro.fl.trainer import FederatedTrainer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.rng import ensure_generator
@@ -38,9 +45,16 @@ class LossProportionalSelection(SelectionStrategy):
     utility.
     """
 
-    def __init__(self, fraction: float, server: FederatedServer, seed=None):
+    def __init__(
+        self,
+        fraction: float,
+        server: FederatedServer,
+        devices: Sequence[UserDevice],
+        seed=None,
+    ):
         self.fraction = fraction
         self.server = server
+        self._devices = {device.device_id: device for device in devices}
         self._rng = ensure_generator(seed)
         self._loss = SoftmaxCrossEntropy()
 
@@ -51,21 +65,26 @@ class LossProportionalSelection(SelectionStrategy):
         return self._loss.loss(logits, labels[:take])
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
         del round_index
-        self._check_population(devices)
-        count = selection_count(len(devices), self.fraction)
-        scores = np.array([self._score(d) for d in devices])
+        count = selection_count(len(population), self.fraction)
+        scores = np.array(
+            [
+                self._score(self._devices[device_id])
+                for device_id in population.device_ids.tolist()
+            ]
+        )
         probs = scores / scores.sum()
         chosen = self._rng.choice(
-            len(devices), size=count, replace=False, p=probs
+            len(population), size=count, replace=False, p=probs
         )
-        return [devices[int(i)] for i in sorted(chosen)]
+        return np.sort(chosen)
 
 
-def main() -> None:
-    settings = ExperimentSettings.quick(seed=3, rounds=60)
+def run_comparison(rounds: int = 60) -> Dict[str, TrainingHistory]:
+    """HELCFL and the custom strategy on one environment."""
+    settings = ExperimentSettings.quick(seed=3, rounds=rounds)
     environment = build_environment(settings, iid=False)
 
     # Reference run: HELCFL on the same environment.
@@ -82,14 +101,21 @@ def main() -> None:
         server=server,
         devices=environment.devices,
         selection=LossProportionalSelection(
-            settings.fraction, server, seed=settings.seed
+            settings.fraction,
+            server,
+            environment.devices,
+            seed=settings.seed,
         ),
         config=settings.trainer_config(),
         label="loss-proportional",
     ).run()
+    return {"HELCFL": helcfl, "loss-proportional": custom}
 
+
+def main() -> None:
+    settings = ExperimentSettings.quick(seed=3, rounds=60)
+    results = run_comparison(settings.rounds)
     print("Non-IID comparison on identical data/devices/model-init:\n")
-    results: Dict[str, object] = {"HELCFL": helcfl, "loss-proportional": custom}
     for name, history in results.items():
         print(
             f"  {name:18s} best={100 * history.best_accuracy:6.2f}%  "

@@ -8,9 +8,11 @@ different frequency policy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.devices.device import UserDevice
+import numpy as np
+
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
 from repro.rng import (
@@ -51,13 +53,12 @@ class RandomSelection(SelectionStrategy):
         self._rng = restore_generator(state["rng"])
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
         del round_index
-        self._check_population(devices)
-        count = selection_count(len(devices), self.fraction)
-        chosen = self._rng.choice(len(devices), size=count, replace=False)
-        return [devices[int(i)] for i in sorted(chosen)]
+        size = len(population)
+        count = selection_count(size, self.fraction)
+        return np.sort(self._rng.choice(size, size=count, replace=False))
 
     def __repr__(self) -> str:
         return f"RandomSelection(C={self.fraction})"

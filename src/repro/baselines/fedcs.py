@@ -15,9 +15,12 @@ reproduction preserves exactly this behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation, as_population
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import SelectionStrategy
 from repro.network.tdma import simulate_tdma_round
@@ -32,7 +35,7 @@ __all__ = ["FedCsSelection", "fedcs_deadline_for_count"]
 
 
 def fedcs_deadline_for_count(
-    devices: Sequence[UserDevice],
+    devices: Union[DevicePopulation, Sequence[UserDevice]],
     payload_bits: float,
     bandwidth_hz: float,
     count: int,
@@ -45,21 +48,23 @@ def fedcs_deadline_for_count(
     selects roughly ``count`` users per round.
 
     Args:
-        devices: the full population.
+        devices: the full population (or a device sequence).
         payload_bits: model payload ``C_model``.
         bandwidth_hz: uplink resource blocks ``Z``.
         count: number of fast users the deadline should accommodate.
     """
     if count <= 0:
         raise SelectionError(f"count must be positive, got {count}")
-    if not devices:
+    if not isinstance(devices, DevicePopulation) and not devices:
         raise SelectionError("cannot derive a deadline from no devices")
-    count = min(count, len(devices))
-    fastest = sorted(
-        devices,
-        key=lambda d: d.total_delay(payload_bits, bandwidth_hz),
+    population = as_population(devices)
+    count = min(count, len(population))
+    fastest = np.argsort(
+        population.total_delay(payload_bits, bandwidth_hz), kind="stable"
     )[:count]
-    return simulate_tdma_round(fastest, payload_bits, bandwidth_hz).round_delay
+    return simulate_tdma_round(
+        population.take(fastest), payload_bits, bandwidth_hz
+    ).round_delay
 
 
 class FedCsSelection(SelectionStrategy):
@@ -132,19 +137,17 @@ class FedCsSelection(SelectionStrategy):
         """Resume the candidate-sampling stream where it froze."""
         self._rng = restore_generator(state["rng"])
 
-    def _candidates(
-        self, devices: Sequence[UserDevice]
-    ) -> Sequence[UserDevice]:
-        """The round's polled candidate subset (resource-request step)."""
+    def _candidates(self, population: DevicePopulation) -> np.ndarray:
+        """The round's polled candidate positions (resource request)."""
+        size = len(population)
         if self.candidate_fraction is None:
-            return devices
-        count = max(1, int(round(self.candidate_fraction * len(devices))))
-        chosen = self._rng.choice(len(devices), size=count, replace=False)
-        return [devices[int(i)] for i in sorted(chosen)]
+            return np.arange(size, dtype=np.int64)
+        count = max(1, int(round(self.candidate_fraction * size)))
+        return np.sort(self._rng.choice(size, size=count, replace=False))
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
         """Greedily pack short-delay users under the round deadline.
 
         Candidates are considered in ascending total-delay order; a
@@ -154,33 +157,30 @@ class FedCsSelection(SelectionStrategy):
         always selected so training can proceed.
         """
         del round_index
-        self._check_population(devices)
-        candidates = self._candidates(devices)
-        ranked = sorted(
-            candidates,
-            key=lambda d: (
-                d.total_delay(self.payload_bits, self.bandwidth_hz),
-                d.device_id,
-            ),
-        )
-        selected: List[UserDevice] = []
-        for candidate in ranked:
-            if self.max_users is not None and len(selected) >= self.max_users:
-                break
-            tentative = selected + [candidate]
-            timeline = simulate_tdma_round(
-                tentative, self.payload_bits, self.bandwidth_hz
+        candidates = self._candidates(population)
+        delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
+        ranked = candidates[
+            np.lexsort(
+                (population.device_ids[candidates], delays[candidates])
             )
-            if timeline.round_delay <= self.round_deadline_s:
-                selected = tentative
-            else:
+        ]
+        limit = len(ranked)
+        if self.max_users is not None:
+            limit = min(limit, self.max_users)
+        count = 0
+        while count < limit:
+            timeline = simulate_tdma_round(
+                population.take(ranked[: count + 1]),
+                self.payload_bits,
+                self.bandwidth_hz,
+            )
+            if timeline.round_delay > self.round_deadline_s:
                 # Candidates are sorted by individual delay, but a
                 # later candidate with shorter T_com could still fit;
                 # FedCS's greedy heuristic stops at the first miss.
                 break
-        if not selected:
-            selected = [ranked[0]]
-        return selected
+            count += 1
+        return ranked[: max(count, 1)]
 
     def __repr__(self) -> str:
         return f"FedCsSelection(deadline={self.round_deadline_s:.3g}s)"

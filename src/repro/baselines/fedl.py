@@ -19,12 +19,11 @@ differ.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.devices.cpu import DvfsCpu
-from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import FrequencyPolicy
@@ -68,37 +67,28 @@ class FedlClosedFormPolicy(FrequencyPolicy):
 
     def assign(
         self,
-        selected: Sequence[UserDevice],
+        population: DevicePopulation,
         payload_bits: float,
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         del payload_bits, bandwidth_hz, round_index
-        if population is not None:
-            # Fleets share a handful of capacitance values, so evaluate
-            # the cube root once per distinct one with Python's scalar
-            # ``**`` (the object path's exact op) and broadcast —
-            # bitwise parity by construction.
-            cap = population.switched_capacitance
-            unique, inverse = np.unique(cap, return_inverse=True)
-            table = np.fromiter(
-                (
-                    (self.kappa / value) ** (1.0 / 3.0)
-                    for value in unique.tolist()
-                ),
-                dtype=np.float64,
-                count=unique.shape[0],
-            )
-            clamped = population.clamp(table[inverse])
-            return dict(
-                zip(population.device_ids.tolist(), clamped.tolist())
-            )
-        return {
-            device.device_id: fedl_optimal_frequency(device.cpu, self.kappa)
-            for device in selected
-        }
+        # Fleets share a handful of capacitance values, so evaluate the
+        # cube root once per distinct one with Python's scalar ``**``
+        # (fedl_optimal_frequency's exact op) and broadcast.
+        cap = population.switched_capacitance
+        unique, inverse = np.unique(cap, return_inverse=True)
+        table = np.fromiter(
+            (
+                (self.kappa / value) ** (1.0 / 3.0)
+                for value in unique.tolist()
+            ),
+            dtype=np.float64,
+            count=unique.shape[0],
+        )
+        clamped = population.clamp(table[inverse])
+        return dict(zip(population.device_ids.tolist(), clamped.tolist()))
 
     def __repr__(self) -> str:
         return f"FedlClosedFormPolicy(kappa={self.kappa})"

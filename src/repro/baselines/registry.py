@@ -20,7 +20,7 @@ server round — and is handled by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.baselines.classic import RandomSelection
 from repro.baselines.fedcs import FedCsSelection, fedcs_deadline_for_count
@@ -28,6 +28,7 @@ from repro.baselines.fedl import FedlClosedFormPolicy
 from repro.core.frequency import HelcflDvfsPolicy
 from repro.core.selection import GreedyDecaySelection
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import (
     FrequencyPolicy,
@@ -49,7 +50,7 @@ def available_strategies() -> Tuple[str, ...]:
 
 def build_strategy(
     name: str,
-    devices: Sequence[UserDevice],
+    devices: Union[DevicePopulation, Sequence[UserDevice]],
     fraction: float,
     payload_bits: float,
     bandwidth_hz: float,
@@ -63,7 +64,8 @@ def build_strategy(
 
     Args:
         name: one of :func:`available_strategies`.
-        devices: the population (FedCS derives its deadline from it).
+        devices: the fleet, as a population or a device sequence
+            (FedCS derives its deadline from it).
         fraction: selection fraction ``C``.
         payload_bits: model payload ``C_model``.
         bandwidth_hz: uplink resource blocks ``Z``.

@@ -28,7 +28,7 @@ REP004    wall-clock hygiene — no real-clock reads outside
 REP005    concurrency safety — pool-dispatched worker functions do not
           assign to module-level globals
 REP006    hot-path vectorization — population-scale loops in the
-          scheduler/selection modules stay vectorized
+          scheduler/selection modules stay array-based
 REP007    param pickling — process-backend payloads stay picklable
 REP008    buffer aliasing (cross-file) — ``_scratch_buffer``/``out=``
           arrays never escape their forward/backward call

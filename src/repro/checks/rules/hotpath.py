@@ -8,7 +8,7 @@ an O(Q) numpy expression back into O(Q) interpreter dispatch and
 silently undoes the struct-of-arrays redesign — the cost only shows up
 at population scale, which unit tests never reach.
 
-The vectorized paths iterate positions (``for rank in range(n)``) only
+The array paths iterate positions (``for rank in range(n)``) only
 where the math is inherently sequential (Algorithm 3's finish-time
 recursion); those are O(selected), not O(Q), and don't bind device
 objects. Deliberate scalar loops — the object-path oracles the parity

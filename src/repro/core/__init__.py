@@ -10,28 +10,18 @@
   trainer.
 """
 
-from repro.core.frequency import (
-    HelcflDvfsPolicy,
-    determine_frequencies,
-    determine_frequencies_population,
-)
+from repro.core.frequency import HelcflDvfsPolicy, determine_frequencies
 from repro.core.framework import build_helcfl_trainer
 from repro.core.selection import GreedyDecaySelection, top_utility_positions
 from repro.core.slack import SlackReport, analyze_slack
-from repro.core.utility import (
-    decayed_utility,
-    utility_scores,
-    utility_scores_by_id,
-)
+from repro.core.utility import decayed_utility, utility_scores
 
 __all__ = [
     "decayed_utility",
     "utility_scores",
-    "utility_scores_by_id",
     "GreedyDecaySelection",
     "top_utility_positions",
     "determine_frequencies",
-    "determine_frequencies_population",
     "HelcflDvfsPolicy",
     "SlackReport",
     "analyze_slack",

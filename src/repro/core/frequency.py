@@ -25,31 +25,26 @@ With clamping, the recursion tracks the *actual* upload-finish time
 (computed via the true queueing dynamics) rather than the idealized
 ``T_q``, so the assignment stays optimal when clamps bind.
 
-:func:`determine_frequencies_population` is the population-scale form:
-the O(Q) inputs of the recursion — Eq. (4) delays at ``f_max``, the
-sort, Eq. (7) upload delays — are array expressions over a
-:class:`~repro.devices.DevicePopulation`, and only the inherently
-sequential Eq. (9) prefix scan over the sorted delay chain runs as a
-scalar loop (its operation order is the bitwise contract with the
-object path, and it is O(N selected), not O(Q)).
+The recursion runs over a :class:`~repro.devices.DevicePopulation`: the
+O(Q) inputs — Eq. (4) delays at ``f_max``, the sort, Eq. (7) upload
+delays — are array expressions, and only the inherently sequential
+Eq. (9) prefix scan over the sorted delay chain runs as a scalar loop
+(O(N selected), not O(Q)). :func:`determine_frequencies` also accepts
+a plain device sequence, snapshotted once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
 from repro.devices.device import UserDevice
-from repro.devices.population import DevicePopulation
+from repro.devices.population import DevicePopulation, as_population
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import FrequencyPolicy
 
-__all__ = [
-    "determine_frequencies",
-    "determine_frequencies_population",
-    "HelcflDvfsPolicy",
-]
+__all__ = ["determine_frequencies", "HelcflDvfsPolicy"]
 
 _QUANTIZE_EPS = 1e-12  # DvfsCpu.quantize's round-up tolerance
 
@@ -63,20 +58,17 @@ def _check_modes(clamp: bool, quantize: bool) -> None:
 
 
 def determine_frequencies(
-    selected: Sequence[UserDevice],
+    selected: Union[DevicePopulation, Sequence[UserDevice]],
     payload_bits: float,
     bandwidth_hz: float,
     clamp: bool = True,
     quantize: bool = False,
 ) -> Dict[int, float]:
-    """Run Algorithm 3 on the selected user set (object path).
-
-    This is the scalar per-device form, kept as the bitwise parity
-    oracle for :func:`determine_frequencies_population` (which the
-    trainer uses); both produce identical frequencies.
+    """Run Algorithm 3 on the selected user set.
 
     Args:
-        selected: the round's selected user set ``Gamma_j``.
+        selected: the round's selected user set ``Gamma_j`` — a
+            population slice or a device sequence (snapshotted once).
         payload_bits: model payload ``C_model`` in bits.
         bandwidth_hz: uplink resource blocks ``Z`` in Hz.
         clamp: clamp each derived frequency into the device's
@@ -87,7 +79,9 @@ def determine_frequencies(
             discrete DVFS ladder when it has one.
 
     Returns:
-        Mapping from device id to its determined operating frequency.
+        Mapping from device id to its determined operating frequency,
+        keyed in the chain's ascending (delay, id) order — the order
+        traces record.
 
     Raises:
         SelectionError: for an empty selection.
@@ -97,93 +91,30 @@ def determine_frequencies(
             may leave, so the combination is incoherent.
     """
     _check_modes(clamp, quantize)
-    if not selected:
+    if not isinstance(selected, DevicePopulation) and not selected:
         raise SelectionError("cannot determine frequencies for no devices")
+    population = as_population(selected)
 
-    # Line 1: ascending max-frequency compute delay (ties by id).
-    ordered = sorted(
-        selected,
-        key=lambda d: (d.compute_delay(d.cpu.f_max), d.device_id),
-    )
-
-    frequencies: Dict[int, float] = {}
-    previous_finish = 0.0
-    for position, device in enumerate(ordered):  # repro: allow[REP006] scalar oracle the parity tests diff the vector path against
-        if position == 0:
-            # Lines 3-4: the first user has no slack.
-            freq = device.cpu.f_max
-        else:
-            # Line 9: finish computing when the previous upload ends.
-            target = device.frequency_for_compute_delay(previous_finish)
-            if clamp:
-                freq = device.cpu.clamp(target)
-            else:
-                freq = target
-        if quantize:
-            freq = device.cpu.quantize(freq)
-        frequencies[device.device_id] = freq
-
-        # Line 8 generalized: the user's actual upload-finish time under
-        # FIFO channel queueing. Without clamping this reduces to the
-        # paper's T_q = T_q^cal + T_q^com exactly (compute lands at the
-        # previous finish, so upload_start == compute_end).
-        compute_end = device.cpu.cycles_for(device.num_samples) / freq
-        upload_start = max(compute_end, previous_finish)
-        previous_finish = upload_start + device.upload_delay(
-            payload_bits, bandwidth_hz
-        )
-    return frequencies
-
-
-def determine_frequencies_population(
-    population: DevicePopulation,
-    payload_bits: float,
-    bandwidth_hz: float,
-    clamp: bool = True,
-    quantize: bool = False,
-) -> np.ndarray:
-    """Run Algorithm 3 over a selected-set population slice.
-
-    Array form of :func:`determine_frequencies`: Eq. (4) delays, the
-    (delay, id) sort, and Eq. (7) upload delays are vectorized; the
-    Eq. (9) finish-time recursion walks the sorted chain with the exact
-    scalar operation order of the object path, so results are bitwise
-    identical.
-
-    Args:
-        population: the selected set ``Gamma_j`` as a population slice
-            (e.g. ``fleet_population.take(selected_positions)``).
-        payload_bits: model payload ``C_model`` in bits.
-        bandwidth_hz: uplink resource blocks ``Z`` in Hz.
-        clamp: as in :func:`determine_frequencies`.
-        quantize: as in :func:`determine_frequencies`.
-
-    Returns:
-        Operating frequencies as a float64 ndarray aligned with
-        ``population`` order (position ``q`` serves
-        ``population.device_ids[q]``).
-    """
-    _check_modes(clamp, quantize)
-    size = len(population)
-    delay_fmax = population.compute_delay()
-    order = np.lexsort((population.device_ids, delay_fmax))
-    upload = population.upload_delay(payload_bits, bandwidth_hz)
-
-    # Scalar chain state, pulled out of numpy so every +-*/ below is
-    # the same CPython float op the object path performs.
+    # Line 1: ascending max-frequency compute delay (ties by id), as an
+    # array sort; the Eq. (9) recursion below then walks the chain with
+    # CPython float ops, one per selected device.
+    order = np.lexsort((population.device_ids, population.compute_delay()))
+    ids = population.device_ids[order].tolist()
     cycles = population.cycles[order].tolist()
     f_min = population.f_min[order].tolist()
     f_max = population.f_max[order].tolist()
-    uploads = upload[order].tolist()
+    uploads = population.upload_delay(payload_bits, bandwidth_hz)[order].tolist()
     ladder = population.ladder
-    ladder_rows = population.ladder_sizes[order].tolist() if ladder is not None else None
+    widths = population.ladder_sizes[order].tolist()
 
-    assigned = np.empty(size, dtype=np.float64)
+    frequencies: Dict[int, float] = {}
     previous_finish = 0.0
-    for rank in range(size):
+    for rank in range(len(ids)):
         if rank == 0:
+            # Lines 3-4: the first user has no slack.
             freq = f_max[0]
         else:
+            # Line 9: finish computing when the previous upload ends.
             target = cycles[rank] / previous_finish
             if clamp:
                 freq = min(max(target, f_min[rank]), f_max[rank])
@@ -191,16 +122,20 @@ def determine_frequencies_population(
                 freq = target
         if quantize:
             freq = min(max(freq, f_min[rank]), f_max[rank])
-            width = ladder_rows[rank] if ladder_rows is not None else 0
+            width = widths[rank]
             if width:
                 row = ladder[order[rank], :width]
                 idx = int(np.searchsorted(row, freq - _QUANTIZE_EPS))
                 freq = float(row[min(idx, width - 1)])
-        assigned[order[rank]] = freq
+        frequencies[ids[rank]] = freq
+        # Line 8 generalized: the user's actual upload-finish time under
+        # FIFO channel queueing. Without clamping this reduces to the
+        # paper's T_q = T_q^cal + T_q^com exactly (compute lands at the
+        # previous finish, so upload_start == compute_end).
         compute_end = cycles[rank] / freq
         upload_start = max(compute_end, previous_finish)
         previous_finish = upload_start + uploads[rank]
-    return assigned
+    return frequencies
 
 
 class HelcflDvfsPolicy(FrequencyPolicy):
@@ -220,34 +155,15 @@ class HelcflDvfsPolicy(FrequencyPolicy):
 
     def assign(
         self,
-        selected: Sequence[UserDevice],
+        population: DevicePopulation,
         payload_bits: float,
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         del round_index  # Algorithm 3 is stateless across rounds.
-        if population is not None:
-            assigned = determine_frequencies_population(
-                population,
-                payload_bits,
-                bandwidth_hz,
-                clamp=self.clamp,
-                quantize=self.quantize,
-            )
-            # Keyed in ascending (delay, id) chain order, matching the
-            # object path's insertion order byte-for-byte in traces.
-            order = np.lexsort(
-                (population.device_ids, population.compute_delay())
-            )
-            ids = population.device_ids[order].tolist()
-            return {
-                device_id: float(assigned[position])
-                for device_id, position in zip(ids, order.tolist())
-            }
         return determine_frequencies(
-            selected,
+            population,
             payload_bits,
             bandwidth_hz,
             clamp=self.clamp,

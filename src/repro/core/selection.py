@@ -13,19 +13,17 @@ the N-th largest score) instead of a full sort, with an optional
 merge the per-shard candidates, and re-rank — any globally top-N user
 is top-N within its own shard under the same (score, id) order, so the
 merge is exact, and peak working memory per ranking step drops to the
-shard size. Both paths reproduce the object-path ranking — descending
-utility, ties by ascending device id — bit for bit.
+shard size. Both paths produce the same ranking — descending utility,
+ties by ascending device id — bit for bit.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.utility import _object_utility_scores, utility_scores
-from repro.devices.device import UserDevice
+from repro.core.utility import utility_scores
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
@@ -41,8 +39,8 @@ def top_utility_positions(
 ) -> np.ndarray:
     """Positions of the ``count`` best (score desc, id asc) entries.
 
-    The returned positions are in ranked order — exactly the order the
-    object path's ``sorted(key=(-score, id))[:count]`` produces.
+    The returned positions are in ranked order — exactly
+    ``sorted(key=(-score, id))[:count]``.
 
     Args:
         scores: per-device utilities, aligned with ``device_ids``.
@@ -186,53 +184,30 @@ class GreedyDecaySelection(SelectionStrategy):
             self._alpha_ids = ids.copy()
         return self._alpha
 
-    def scores(
-        self, devices: Union[DevicePopulation, Sequence[UserDevice]]
-    ) -> np.ndarray:
+    def scores(self, population: DevicePopulation) -> np.ndarray:
         """Current Eq. (20) utilities, aligned with population order.
 
-        No side effects. Accepts a :class:`DevicePopulation` directly
-        (preferred at scale) or any device sequence.
+        No side effects.
         """
-        if isinstance(devices, DevicePopulation):
-            counts: Union[Dict[int, int], np.ndarray] = self._alpha_for(devices)
-        else:
-            counts = self.appearance_counts
         return utility_scores(
-            devices,
-            counts,
+            population,
+            self._alpha_for(population),
             self.payload_bits,
             self.bandwidth_hz,
             self.decay,
         )
 
-    def scores_by_id(
-        self, devices: Sequence[UserDevice]
-    ) -> Dict[int, float]:
-        """Deprecated dict-keyed scores: use :meth:`scores`.
-
-        Shim for callers that still index utilities by device id; the
-        values come from the original scalar object path.
-        """
-        warnings.warn(
-            "GreedyDecaySelection.scores_by_id() is deprecated; use "
-            "scores(), which returns an ndarray aligned with "
-            "population order",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _object_utility_scores(
-            devices,
-            self.appearance_counts,
-            self.payload_bits,
-            self.bandwidth_hz,
-            self.decay,
-        )
-
-    def select_population(
+    def select(
         self, round_index: int, population: DevicePopulation
     ) -> np.ndarray:
-        """Vector path: select and decay, returning ranked positions."""
+        """Select the top-``N`` users by utility and decay them.
+
+        Because a user's utility does not change *within* a round's
+        selection loop (its counter is bumped only once it is
+        selected, and each user can be selected at most once), taking
+        the top-``N`` scores in one pass is exactly equivalent to
+        Algorithm 2's iterative argmax-and-remove loop (lines 14-19).
+        """
         del round_index
         scores = self.scores(population)
         count = selection_count(len(population), self.fraction)
@@ -248,27 +223,6 @@ class GreedyDecaySelection(SelectionStrategy):
                 self.appearance_counts.get(device_id, 0) + 1
             )
         return positions
-
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        """Select the top-``N`` users by utility and decay them.
-
-        Thin adapter over :meth:`select_population`: snapshots the
-        sequence into a :class:`DevicePopulation` and maps the ranked
-        positions back to the objects.
-
-        Note: because a user's utility does not change *within* a
-        round's selection loop (its counter is bumped only once it is
-        selected, and each user can be selected at most once), taking
-        the top-``N`` scores in one pass is exactly equivalent to
-        Algorithm 2's iterative argmax-and-remove loop (lines 14-19).
-        """
-        self._check_population(devices)
-        positions = self.select_population(
-            round_index, DevicePopulation.from_devices(devices)
-        )
-        return [devices[position] for position in positions.tolist()]
 
     def __repr__(self) -> str:
         shard = f", shard_size={self.shard_size}" if self.shard_size else ""

@@ -16,24 +16,20 @@ selected users' data, Eq. 19).
 :func:`utility_scores` evaluates Eq. (20) for the whole population as
 one array expression over a :class:`~repro.devices.DevicePopulation`
 (or any device sequence, converted on the fly) and returns an ndarray
-aligned with population order. The retired dict-keyed form survives as
-the deprecated :func:`utility_scores_by_id` — it is the scalar
-object-path oracle the parity tests compare the arrays against, and a
-shim for extensions still indexing scores by device id.
+aligned with population order.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.devices.device import UserDevice
-from repro.devices.population import DevicePopulation
+from repro.devices.population import DevicePopulation, as_population
 from repro.errors import ConfigurationError
 
-__all__ = ["decayed_utility", "utility_scores", "utility_scores_by_id"]
+__all__ = ["decayed_utility", "utility_scores"]
 
 
 def decayed_utility(
@@ -68,14 +64,6 @@ def decayed_utility(
             f"total delay must be positive, got {total_delay}"
         )
     return decay**appearance_count / total_delay
-
-
-def _as_population(
-    devices: Union[DevicePopulation, Sequence[UserDevice]],
-) -> DevicePopulation:
-    if isinstance(devices, DevicePopulation):
-        return devices
-    return DevicePopulation.from_devices(devices)
 
 
 def _alpha_array(
@@ -152,7 +140,7 @@ def utility_scores(
         raise ConfigurationError(f"decay eta must be in (0, 1), got {decay}")
     if not isinstance(devices, DevicePopulation) and len(devices) == 0:
         return np.empty(0, dtype=np.float64)
-    population = _as_population(devices)
+    population = as_population(devices)
     alphas = _alpha_array(population, appearance_counts)
     total_delay = population.compute_delay() + population.upload_delay(
         payload_bits, bandwidth_hz
@@ -160,48 +148,3 @@ def utility_scores(
     if np.any(total_delay <= 0):
         raise ConfigurationError("total delay must be positive")
     return decay_powers(decay, alphas) / total_delay
-
-
-def utility_scores_by_id(
-    devices: Sequence[UserDevice],
-    appearance_counts: Mapping[int, int],
-    payload_bits: float,
-    bandwidth_hz: float,
-    decay: float,
-) -> Dict[int, float]:
-    """Deprecated dict-keyed Eq. (20): use :func:`utility_scores`.
-
-    Kept as the scalar object-path oracle for the population parity
-    tests and as a shim for extensions that index scores by device id.
-
-    Returns:
-        Mapping from device id to utility.
-    """
-    warnings.warn(
-        "utility_scores_by_id() is deprecated; use utility_scores(), "
-        "which returns an ndarray aligned with population order",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _object_utility_scores(
-        devices, appearance_counts, payload_bits, bandwidth_hz, decay
-    )
-
-
-def _object_utility_scores(
-    devices: Sequence[UserDevice],
-    appearance_counts: Mapping[int, int],
-    payload_bits: float,
-    bandwidth_hz: float,
-    decay: float,
-) -> Dict[int, float]:
-    """The original per-device scalar loop (bitwise parity oracle)."""
-    scores: Dict[int, float] = {}
-    for device in devices:  # repro: allow[REP006] scalar oracle the parity tests diff the array path against
-        scores[device.device_id] = decayed_utility(
-            appearance_count=int(appearance_counts.get(device.device_id, 0)),
-            compute_delay=device.compute_delay(device.cpu.f_max),
-            upload_delay=device.upload_delay(payload_bits, bandwidth_hz),
-            decay=decay,
-        )
-    return scores

@@ -9,7 +9,7 @@ expressions over the whole fleet instead of Python loops over
 :class:`~repro.devices.device.UserDevice` objects. This is what lets
 selection and DVFS scale to Q ≈ 10⁵–10⁶ users.
 
-Bitwise parity with the object path is a hard contract here: every
+Bitwise parity with the scalar device model is a hard contract: every
 array expression mirrors the exact floating-point operation order of
 the corresponding ``UserDevice``/``DvfsCpu``/``Radio`` scalar code, and
 the parity tests assert equality to the last bit. Two operations need
@@ -23,7 +23,7 @@ care:
   ``numpy.float_power`` does, so squares and decay powers use it.
 
 Construction is O(Q) Python once (``from_devices``) or fully
-vectorized (``from_spec``, which replays ``make_fleet``'s RNG stream
+array-native (``from_spec``, which replays ``make_fleet``'s RNG stream
 bitwise without materializing any ``UserDevice``); everything after
 that is numpy.
 """
@@ -40,7 +40,7 @@ from repro.devices.fleet import FleetSpec
 from repro.errors import DeviceError, FrequencyRangeError
 from repro.rng import SeedLike, ensure_generator
 
-__all__ = ["DevicePopulation"]
+__all__ = ["DevicePopulation", "as_population"]
 
 _QUANTIZE_EPS = 1e-12  # matches DvfsCpu.quantize's round-up tolerance
 
@@ -149,8 +149,9 @@ class DevicePopulation:
         """Snapshot an existing object fleet into arrays.
 
         O(Q) Python, paid once per run; every scheduler call afterwards
-        is vectorized. Channel-gain changes on the objects after the
-        snapshot must be mirrored via :meth:`set_channel_gains`.
+        runs on the arrays. Channel-gain and battery changes on the
+        objects after the snapshot must be mirrored via
+        :meth:`set_channel_gains` and :meth:`set_battery_charges`.
         """
         if not devices:
             raise DeviceError("cannot build a population of zero devices")
@@ -339,6 +340,21 @@ class DevicePopulation:
             )
             self.log2_snr1[position] = math.log2(1.0 + snr)
 
+    def set_battery_charges(
+        self,
+        positions: Sequence[int],
+        charges: Sequence[float],
+    ) -> None:
+        """Mirror live battery charges (drains, deaths) into the arrays.
+
+        The twin of :meth:`set_channel_gains` for
+        :attr:`battery_charge`: whoever drains or kills a device's
+        battery after the snapshot must report the new charge here so
+        battery-aware selection sees it.
+        """
+        for position, charge in zip(positions, charges):
+            self.battery_charge[position] = float(charge)
+
     def _refresh_log2_snr1(self) -> None:
         snr = self.snr
         self.log2_snr1 = np.fromiter(
@@ -348,7 +364,7 @@ class DevicePopulation:
         )
 
     # ------------------------------------------------------------------
-    # Cost model, Eqs. (4)–(9), vectorized
+    # Cost model, Eqs. (4)–(9), as array expressions
     # ------------------------------------------------------------------
     @property
     def snr(self) -> np.ndarray:
@@ -467,6 +483,20 @@ class DevicePopulation:
             f"f_max=[{self.f_max.min() / 1e9:.2f}, "
             f"{self.f_max.max() / 1e9:.2f}]GHz)"
         )
+
+
+def as_population(
+    devices: Union[DevicePopulation, Sequence[UserDevice]],
+) -> DevicePopulation:
+    """``devices`` as a population: returned as-is or snapshotted once.
+
+    The entry point of every cost-model function that also accepts a
+    plain device sequence, so each equation keeps exactly one (array)
+    implementation.
+    """
+    if isinstance(devices, DevicePopulation):
+        return devices
+    return DevicePopulation.from_devices(devices)
 
 
 def _pack_ladders(

@@ -22,6 +22,7 @@ import numpy as np
 from repro.baselines.registry import build_strategy
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.network.tdma import simulate_tdma_round
 from repro.rng import derive_seed
@@ -125,10 +126,11 @@ def run_cost_model_study(
         fleet = make_fleet(
             datasets, spec, seed=derive_seed(seed, "fleet", str(trial))
         )
+        population = DevicePopulation.from_devices(fleet)
         for name in strategies:
             selection, policy = build_strategy(
                 name,
-                devices=fleet,
+                devices=population,
                 fraction=fraction,
                 payload_bits=payload_bits,
                 bandwidth_hz=bandwidth_hz,
@@ -137,7 +139,9 @@ def run_cost_model_study(
             )
             selection.reset()
             for round_index in range(1, rounds_per_trial + 1):
-                selected = selection.select(round_index, fleet)
+                selected = population.take(
+                    selection.select(round_index, population)
+                )
                 frequencies = policy.assign(
                     selected, payload_bits, bandwidth_hz
                 )

@@ -11,13 +11,18 @@ battery is nearly empty — they would either shut down mid-round
 population by battery level (and, optionally, by whether the device
 can afford its own worst-case round cost) before delegating to any
 inner strategy — HELCFL's greedy-decay, random, FedCS, anything.
+It reads charge levels from the population's battery arrays, which the
+trainer keeps live (``DevicePopulation.set_battery_charges``), and it
+forwards state, checkpoints and loss feedback to the inner strategy.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.devices.device import UserDevice
+import numpy as np
+
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import SelectionStrategy
 
@@ -80,32 +85,42 @@ class BatteryAwareSelection(SelectionStrategy):
         """Reset the wrapped strategy."""
         self.inner.reset()
 
-    def _eligible(self, device: UserDevice) -> bool:
-        battery = device.battery
-        if battery is None:
-            return True
-        if battery.level < self.min_level:
-            return False
+    def state_dict(self) -> Dict:
+        """The wrapped strategy's checkpoint snapshot."""
+        return self.inner.state_dict()
+
+    def load_state_dict(self, state: Dict) -> None:
+        """Restore the wrapped strategy's snapshot."""
+        self.inner.load_state_dict(state)
+
+    def observe_losses(self, losses: Dict[int, float]) -> None:
+        """Pass the round's loss feedback to the wrapped strategy."""
+        self.inner.observe_losses(losses)
+
+    def _eligible(self, population: DevicePopulation) -> np.ndarray:
+        """Boolean mask of devices allowed into the inner selection."""
+        # Devices without a battery carry NaN charges, which compare
+        # False here and are let through by the last line.
+        ok = population.battery_level >= self.min_level
         if self.require_round_budget:
-            worst_case = device.compute_energy() + device.upload_energy(
+            worst_case = population.compute_energy() + population.upload_energy(
                 self.payload_bits, self.bandwidth_hz
             )
-            if not battery.can_afford(worst_case):
-                return False
-        return True
+            ok &= population.battery_charge >= worst_case
+        return ok | np.isnan(population.battery_capacity)
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        self._check_population(devices)
-        eligible = [d for d in devices if self._eligible(d)]
-        if not eligible:
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
+        eligible = np.flatnonzero(self._eligible(population))
+        if eligible.size == 0:
             if self.strict:
                 raise SelectionError(
                     "every device is below the battery eligibility threshold"
                 )
-            eligible = list(devices)
-        return self.inner.select(round_index, eligible)
+            eligible = np.arange(len(population))
+        # Map the inner strategy's sub-population positions back.
+        return eligible[self.inner.select(round_index, population.take(eligible))]
 
     def __repr__(self) -> str:
         return (

@@ -27,9 +27,11 @@ with every round's observed client losses (see
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.devices.device import UserDevice
+import numpy as np
+
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
 from repro.rng import (
@@ -140,36 +142,56 @@ class OortSelection(SelectionStrategy):
                 )
             self.last_losses[int(device_id)] = float(loss)
 
-    def _preferred_duration(self, devices: Sequence[UserDevice]) -> float:
+    def _preferred_duration(self, population: DevicePopulation) -> float:
         if self.preferred_round_s is not None:
             return self.preferred_round_s
-        delays = sorted(
-            d.total_delay(self.payload_bits, self.bandwidth_hz) for d in devices
+        delays = np.sort(
+            population.total_delay(self.payload_bits, self.bandwidth_hz)
         )
-        return delays[len(delays) // 2]
+        return float(delays[len(delays) // 2])
 
-    def utility(self, device: UserDevice, preferred: float) -> float:
-        """The Oort score of one (previously seen) device."""
-        last_loss = self.last_losses.get(device.device_id)
-        # Unseen devices handled by exploration; give a neutral prior
-        # here so utility() is total.
-        stat = device.num_samples * (last_loss if last_loss is not None else 1.0)
-        delay = device.total_delay(self.payload_bits, self.bandwidth_hz)
-        if delay > preferred and self.penalty_exponent > 0:
-            stat *= math.pow(preferred / delay, self.penalty_exponent)
+    def utilities(
+        self, population: DevicePopulation, preferred: float
+    ) -> np.ndarray:
+        """The Oort score of every device, aligned with population order.
+
+        Devices without an observed loss get a neutral prior of 1.0
+        (exploration handles them), so the score is total.
+        """
+        losses = np.fromiter(
+            (
+                self.last_losses.get(device_id, 1.0)
+                for device_id in population.device_ids.tolist()
+            ),
+            dtype=np.float64,
+            count=len(population),
+        )
+        stat = population.num_samples * losses
+        if self.penalty_exponent > 0:
+            delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
+            slow = np.flatnonzero(delays > preferred)
+            # math.pow per penalized device: numpy's vector pow is not
+            # guaranteed to round like the C library's.
+            stat[slow] *= np.fromiter(
+                (
+                    math.pow(preferred / delay, self.penalty_exponent)
+                    for delay in delays[slow].tolist()
+                ),
+                dtype=np.float64,
+                count=slow.shape[0],
+            )
         return stat
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
         del round_index
-        self._check_population(devices)
-        count = selection_count(len(devices), self.fraction)
-        preferred = self._preferred_duration(devices)
+        ids = population.device_ids
+        count = selection_count(len(population), self.fraction)
+        preferred = self._preferred_duration(population)
 
-        unexplored = [
-            d for d in devices if d.device_id not in self.ever_selected
-        ]
+        seen = np.fromiter(self.ever_selected, dtype=np.int64)
+        unexplored = np.flatnonzero(~np.isin(ids, seen))
         explore_slots = min(
             len(unexplored), max(0, int(round(self.exploration_fraction * count)))
         )
@@ -177,25 +199,23 @@ class OortSelection(SelectionStrategy):
         if not self.last_losses:
             explore_slots = min(len(unexplored), count)
 
-        chosen: List[UserDevice] = []
+        chosen = unexplored[:0]
         if explore_slots:
             picks = self._rng.choice(
                 len(unexplored), size=explore_slots, replace=False
             )
-            chosen.extend(unexplored[int(i)] for i in sorted(picks))
+            chosen = unexplored[np.sort(picks)]
 
         remaining = count - len(chosen)
         if remaining > 0:
-            chosen_ids = {d.device_id for d in chosen}
-            candidates = [d for d in devices if d.device_id not in chosen_ids]
-            ranked = sorted(
-                candidates,
-                key=lambda d: (-self.utility(d, preferred), d.device_id),
+            candidates = np.setdiff1d(
+                np.arange(len(population)), chosen, assume_unique=True
             )
-            chosen.extend(ranked[:remaining])
+            scores = self.utilities(population, preferred)[candidates]
+            ranked = candidates[np.lexsort((ids[candidates], -scores))]
+            chosen = np.concatenate((chosen, ranked[:remaining]))
 
-        for device in chosen:
-            self.ever_selected.add(device.device_id)
+        self.ever_selected.update(ids[chosen].tolist())
         return chosen
 
     def __repr__(self) -> str:

@@ -12,24 +12,19 @@ pairs random selection with max frequency; FEDL pairs random selection
 with its closed-form frequency; FedCS pairs deadline-greedy selection
 with max frequency.
 
-Both interfaces carry population-based signatures for fleet-scale
-runs: :meth:`SelectionStrategy.select_population` lets a strategy rank
-a :class:`~repro.devices.DevicePopulation` directly and return ranked
-array positions (the base returns ``None``, meaning "object path
-only", so existing strategies keep working unchanged), and
-:meth:`FrequencyPolicy.assign` accepts the selected set as a
-population slice via the kw-only ``population=`` parameter. Array
-results are always indexed by population position; dict-of-id forms
-are adapters around them.
+Both interfaces work on a :class:`~repro.devices.DevicePopulation`:
+:meth:`SelectionStrategy.select` ranks the fleet's arrays and returns
+ranked array positions, and :meth:`FrequencyPolicy.assign` receives
+the selected set as a population slice. Results are indexed by
+population position; device ids are read off ``device_ids``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
-from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import SelectionError
 
@@ -39,7 +34,6 @@ __all__ = [
     "FullParticipation",
     "MaxFrequencyPolicy",
     "selection_count",
-    "over_selection_extras",
     "over_selection_extras_population",
 ]
 
@@ -61,48 +55,6 @@ def selection_count(num_users: int, fraction: float) -> int:
     return min(num_users, max(int(num_users * fraction), 1))
 
 
-def over_selection_extras(
-    devices: Sequence[UserDevice],
-    selected: Sequence[UserDevice],
-    margin: int,
-    payload_bits: float,
-    bandwidth_hz: float,
-) -> List[UserDevice]:
-    """FedCS-style over-selection padding for dropout resilience.
-
-    When the trainer expects dropouts it selects ``N + margin`` devices
-    and aggregates the first ``N`` survivors. The padding devices are
-    the *fastest* not-yet-selected ones by the Eq. (9) round delay at
-    ``f_max`` (ties by id) — the FedCS heuristic: devices most likely
-    to finish inside the round.
-
-    This is the object path, kept as the parity oracle for
-    :func:`over_selection_extras_population`.
-
-    Args:
-        devices: the full population ``V``.
-        selected: the strategy's own pick ``Gamma_j``.
-        margin: extra devices to add (capped by the remaining pool).
-        payload_bits: model payload ``C_model`` in bits.
-        bandwidth_hz: uplink resource blocks ``Z`` in Hz.
-
-    Returns:
-        Up to ``margin`` padding devices, deterministic for a fixed
-        population.
-    """
-    if margin < 0:
-        raise SelectionError(f"margin must be non-negative, got {margin}")
-    chosen = {device.device_id for device in selected}
-    pool = [device for device in devices if device.device_id not in chosen]
-    pool.sort(
-        key=lambda d: (
-            d.total_delay(payload_bits, bandwidth_hz),
-            d.device_id,
-        )
-    )
-    return pool[:margin]
-
-
 def over_selection_extras_population(
     population: DevicePopulation,
     selected_positions: np.ndarray,
@@ -110,7 +62,13 @@ def over_selection_extras_population(
     payload_bits: float,
     bandwidth_hz: float,
 ) -> np.ndarray:
-    """Vector form of :func:`over_selection_extras`.
+    """FedCS-style over-selection padding for dropout resilience.
+
+    When the trainer expects dropouts it selects ``N + margin`` devices
+    and aggregates the first ``N`` survivors. The padding devices are
+    the *fastest* not-yet-selected ones by the Eq. (9) round delay at
+    ``f_max`` — the FedCS heuristic: devices most likely to finish
+    inside the round.
 
     Args:
         population: the full fleet population.
@@ -121,8 +79,7 @@ def over_selection_extras_population(
 
     Returns:
         Up to ``margin`` padding positions, ordered by ascending
-        (Eq. 9 delay at ``f_max``, device id) — bitwise the object
-        path's pick.
+        (Eq. 9 delay at ``f_max``, device id).
     """
     if margin < 0:
         raise SelectionError(f"margin must be non-negative, got {margin}")
@@ -140,34 +97,26 @@ class SelectionStrategy:
     """Base class for per-round user selection.
 
     Subclasses implement :meth:`select`; stateful strategies (HELCFL's
-    appearance counters) should also override :meth:`reset`. Strategies
-    with a vectorized ranking additionally override
-    :meth:`select_population`.
+    appearance counters) should also override :meth:`reset` and the
+    state-dict pair.
     """
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        """Return the selected user set ``Gamma_j`` for this round.
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
+        """Return the round's user set ``Gamma_j`` as ranked positions.
 
         Args:
             round_index: 1-based FL round index ``j``.
-            devices: the full population ``V``.
+            population: the full fleet ``V``. Wrappers that select from
+                a sub-population (``population.take(kept)``) map the
+                inner strategy's positions back with ``kept[inner]``.
+
+        Returns:
+            int64 array positions into ``population``, in the
+            strategy's ranking order.
         """
         raise NotImplementedError
-
-    def select_population(
-        self, round_index: int, population: DevicePopulation
-    ) -> Optional[np.ndarray]:
-        """Vector path: select directly from a population view.
-
-        Returns ranked array positions into ``population`` (the same
-        order :meth:`select` lists devices in), or ``None`` when the
-        strategy has no vectorized path — the trainer then falls back
-        to :meth:`select`. The base class returns ``None``.
-        """
-        del round_index, population
-        return None
 
     def reset(self) -> None:
         """Clear any cross-round state before a fresh training run."""
@@ -207,38 +156,29 @@ class SelectionStrategy:
         strategies (e.g. the Oort extension) override it.
         """
 
-    def _check_population(self, devices: Sequence[UserDevice]) -> None:
-        if not devices:
-            raise SelectionError("cannot select from an empty population")
-
 
 class FrequencyPolicy:
     """Base class for assigning CPU frequencies to selected devices."""
 
     def assign(
         self,
-        selected: Sequence[UserDevice],
+        population: DevicePopulation,
         payload_bits: float,
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         """Return a mapping from device id to operating frequency.
 
         Args:
-            selected: the round's selected user set.
+            population: the round's selected user set as a
+                population slice.
             payload_bits: model payload ``C_model`` in bits.
             bandwidth_hz: the uplink resource blocks ``Z`` in Hz.
             round_index: 1-based FL round index ``j`` (0 when called
                 outside a training loop). Stateless policies ignore it;
                 adaptive DVFS policies can schedule on it without
                 another signature break.
-            population: the selected set as a
-                :class:`~repro.devices.DevicePopulation` slice, aligned
-                with ``selected``. Policies with a vectorized path use
-                it instead of looping over the objects; the trainer
-                always provides it. ``None`` forces the object path.
         """
         raise NotImplementedError
 
@@ -247,13 +187,6 @@ class FullParticipation(SelectionStrategy):
     """Select every user every round (ideal unconstrained FL)."""
 
     def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        del round_index
-        self._check_population(devices)
-        return list(devices)
-
-    def select_population(
         self, round_index: int, population: DevicePopulation
     ) -> np.ndarray:
         del round_index
@@ -270,19 +203,13 @@ class MaxFrequencyPolicy(FrequencyPolicy):
 
     def assign(
         self,
-        selected: Sequence[UserDevice],
+        population: DevicePopulation,
         payload_bits: float,
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         del payload_bits, bandwidth_hz, round_index
-        if population is not None:
-            return dict(
-                zip(
-                    population.device_ids.tolist(),
-                    population.f_max.tolist(),
-                )
-            )
-        return {device.device_id: device.cpu.f_max for device in selected}
+        return dict(
+            zip(population.device_ids.tolist(), population.f_max.tolist())
+        )

@@ -39,7 +39,6 @@ from repro.fl.strategy import (
     FrequencyPolicy,
     MaxFrequencyPolicy,
     SelectionStrategy,
-    over_selection_extras,
     over_selection_extras_population,
 )
 from repro.network.tdma import RoundTimeline, simulate_tdma_round
@@ -265,14 +264,6 @@ class FederatedTrainer:
             ``None`` (the default) and an *empty* plan both take the
             exact faults-off code path, so they are bitwise identical
             to each other.
-        vectorized: when True (the default), :meth:`run` snapshots the
-            fleet into a :class:`~repro.devices.DevicePopulation` and
-            drives selection, frequency assignment (including
-            fault-triggered re-planning), over-selection, and TDMA
-            staging through the array paths — bitwise identical to the
-            object paths, O(Q) numpy instead of O(Q) Python per round.
-            False forces the scalar object paths everywhere (the
-            parity oracle and the benchmark baseline).
         checkpoint_path: where ``config.checkpoint_every`` snapshots
             are written (atomically; see
             :mod:`repro.fl.checkpoint`). ``None`` (the default)
@@ -280,6 +271,13 @@ class FederatedTrainer:
             ``checkpoint_every`` is set. Checkpointing and resuming
             are not supported together with ``compression`` or
             ``channel_models`` (their mid-run state is not captured).
+
+    :meth:`run` snapshots the fleet into a
+    :class:`~repro.devices.DevicePopulation` once and schedules every
+    round on it: selection, over-selection, frequency assignment
+    (including fault-triggered re-planning) and TDMA staging all take
+    array positions or population slices. Fading gains and battery
+    drains are mirrored into the snapshot as they happen.
 
     Attributes:
         ledger: an :class:`repro.energy.EnergyLedger` accumulating
@@ -306,7 +304,6 @@ class FederatedTrainer:
         backend: Optional[ExecutionBackend] = None,
         observer: Optional[RunObserver] = None,
         faults=None,
-        vectorized: bool = True,
         checkpoint_path: Optional[str] = None,
     ) -> None:
         if not devices:
@@ -332,7 +329,6 @@ class FederatedTrainer:
         self.channel_models = dict(channel_models or {})
         self.backend = backend or SerialBackend()
         self.observer = observer or RunObserver()
-        self.vectorized = bool(vectorized)
         self.population: Optional[DevicePopulation] = None
         from repro.energy.accounting import EnergyLedger
 
@@ -385,7 +381,7 @@ class FederatedTrainer:
         return RoundResult(round_index=round_index, updates=tuple(updates))
 
     def _apply_battery(
-        self, selected: Sequence[UserDevice], timeline, result: RoundResult
+        self, timeline, result: RoundResult
     ) -> Tuple[RoundResult, Tuple[int, ...]]:
         """Drain batteries; mark devices that cannot pay as dropped.
 
@@ -393,21 +389,25 @@ class FederatedTrainer:
         including fault-lost devices' partial work. Only devices whose
         update would otherwise have reached the server show up in the
         returned battery-drop tuple (a fault already claimed the rest).
+        The new charges are mirrored into the population snapshot.
         """
         if not self.config.enforce_battery:
             return result, ()
         per_device = timeline.by_device()
-        device_index = {d.device_id: d for d in selected}
         dropped = []
+        drained = []
         for update in result:
-            device = device_index[update.device_id]
-            battery = device.battery
+            position = self.population.position_of(update.device_id)
+            battery = self.devices[position].battery
             if battery is None:
                 continue
             entry = per_device[update.device_id]
             paid = battery.drain(entry.total_energy)
+            drained.append((position, battery.charge_joules))
             if not paid and update.status == STATUS_OK:
                 dropped.append(update.device_id)
+        if drained:
+            self.population.set_battery_charges(*zip(*drained))
         statuses = {device_id: STATUS_DROPPED for device_id in dropped}
         return result.with_statuses(statuses), tuple(dropped)
 
@@ -520,7 +520,7 @@ class FederatedTrainer:
 
         Called by :meth:`run` after ``selection.reset()`` and the
         ledger rebuild but before the population snapshot, so the
-        vectorized view is built from the restored device state.
+        snapshot is built from the restored device state.
         """
         from repro.energy.accounting import DeviceEnergy
         from repro.fl.checkpoint import TrainerCheckpoint
@@ -642,19 +642,10 @@ class FederatedTrainer:
                 self.label,
                 resume_from.round_index,
             )
-        # Population-scale array view of the fleet: built once, kept in
-        # sync with per-round fading, and sliced per round for the
-        # vectorized scheduler paths.
-        population = (
-            DevicePopulation.from_devices(self.devices)
-            if self.vectorized
-            else None
-        )
-        self.population = population
-        position_by_id = (
-            {d.device_id: position for position, d in enumerate(self.devices)}
-            if population is not None
-            else {}
+        # The fleet's array snapshot every round schedules on: built
+        # once, with fading and battery changes mirrored into it.
+        population = self.population = DevicePopulation.from_devices(
+            self.devices
         )
         self.backend.observer = observer
         self.backend.bind(
@@ -705,10 +696,9 @@ class FederatedTrainer:
                     if device is not None:
                         gain = float(model.sample_gain())
                         device.radio.channel_gain = gain
-                        if population is not None:
-                            population.set_channel_gains(
-                                (position_by_id[device_id],), (gain,)
-                            )
+                        population.set_channel_gains(
+                            (population.position_of(device_id),), (gain,)
+                        )
 
                 with observer.timer("selection"), observer.span(
                     "selection",
@@ -716,63 +706,30 @@ class FederatedTrainer:
                     parent_id=f"round-{round_index}",
                     round_index=round_index,
                 ):
-                    positions: Optional[np.ndarray] = None
-                    if population is not None:
-                        positions = self.selection.select_population(
-                            round_index, population
-                        )
-                    if positions is not None:
-                        selected = [
-                            self.devices[position]
-                            for position in positions.tolist()
-                        ]
-                    else:
-                        selected = self.selection.select(
-                            round_index, self.devices
-                        )
-                if not selected:
+                    positions = np.asarray(
+                        self.selection.select(round_index, population),
+                        dtype=np.int64,
+                    )
+                if positions.size == 0:
                     raise TrainingError(
                         f"selection produced no users in round {round_index}"
                     )
-                if population is not None and positions is None:
-                    # Strategy without a vector path: recover positions
-                    # so frequency assignment and TDMA still use arrays.
-                    positions = np.fromiter(
-                        (position_by_id[d.device_id] for d in selected),
-                        dtype=np.int64,
-                        count=len(selected),
-                    )
-                target_count = len(selected)
+                target_count = positions.size
                 if config.over_select_margin > 0:
-                    if population is not None:
-                        extra_positions = over_selection_extras_population(
-                            population,
+                    positions = np.concatenate(
+                        (
                             positions,
-                            config.over_select_margin,
-                            self.server.payload_bits,
-                            config.bandwidth_hz,
+                            over_selection_extras_population(
+                                population,
+                                positions,
+                                config.over_select_margin,
+                                self.server.payload_bits,
+                                config.bandwidth_hz,
+                            ),
                         )
-                        selected = list(selected) + [
-                            self.devices[position]
-                            for position in extra_positions.tolist()
-                        ]
-                        positions = np.concatenate(
-                            (positions, extra_positions)
-                        )
-                    else:
-                        selected = list(selected) + over_selection_extras(
-                            self.devices,
-                            selected,
-                            config.over_select_margin,
-                            self.server.payload_bits,
-                            config.bandwidth_hz,
-                        )
-                selected_ids = tuple(d.device_id for d in selected)
-                selected_population = (
-                    population.take(positions)
-                    if population is not None
-                    else None
-                )
+                    )
+                selected_ids = tuple(population.device_ids[positions].tolist())
+                selected_population = population.take(positions)
                 observer.emit(
                     SelectionEvent(
                         round_index=round_index, selected_ids=selected_ids
@@ -788,11 +745,10 @@ class FederatedTrainer:
                     round_index=round_index,
                 ):
                     frequencies = self.frequency_policy.assign(
-                        selected,
+                        selected_population,
                         self.server.payload_bits,
                         config.bandwidth_hz,
                         round_index=round_index,
-                        population=selected_population,
                     )
                 observer.emit(
                     FrequencyAssignmentEvent(
@@ -823,27 +779,26 @@ class FederatedTrainer:
                 pre_dropped = (
                     fault_round.drop_before if fault_round else frozenset()
                 )
-                active = [
-                    d for d in selected if d.device_id not in pre_dropped
-                ]
-                if population is not None and pre_dropped and active:
+                active_positions = positions
+                active_population = selected_population
+                if pre_dropped:
                     keep = np.fromiter(
-                        (d.device_id not in pre_dropped for d in selected),
+                        (device_id not in pre_dropped for device_id in selected_ids),
                         dtype=bool,
-                        count=len(selected),
+                        count=len(selected_ids),
                     )
-                    active_population = population.take(positions[keep])
-                else:
+                    active_positions = positions[keep]
                     active_population = (
-                        selected_population if active else None
+                        population.take(active_positions)
+                        if active_positions.size
+                        else None
                     )
                 reassigned = False
-                if pre_dropped and active:
+                if pre_dropped and active_population is not None:
                     # Algorithm 3's slack chain planned around the
                     # dropped devices' uploads: recompute the schedule
                     # over the survivors so successors do not idle at
-                    # stale frequencies. The vector path replans off the
-                    # survivors' population slice.
+                    # stale frequencies.
                     with observer.timer("frequency_assignment"), observer.span(
                         "frequency_reassignment",
                         span_id=f"round-{round_index}/frequency_reassignment",
@@ -851,11 +806,10 @@ class FederatedTrainer:
                         round_index=round_index,
                     ):
                         frequencies = self.frequency_policy.assign(
-                            active,
+                            active_population,
                             self.server.payload_bits,
                             config.bandwidth_hz,
                             round_index=round_index,
-                            population=active_population,
                         )
                     observer.emit(
                         FrequencyAssignmentEvent(
@@ -866,21 +820,23 @@ class FederatedTrainer:
                     observer.metrics.inc("frequency_reassignments")
                     reassigned = True
 
-                if active:
+                if active_population is not None:
                     with observer.span(
                         "local_updates",
                         span_id=f"round-{round_index}/local_updates",
                         parent_id=f"round-{round_index}",
                         round_index=round_index,
                     ):
-                        result = self._run_clients(round_index, active)
+                        result = self._run_clients(
+                            round_index,
+                            [self.devices[p] for p in active_positions.tolist()],
+                        )
                     timeline = simulate_tdma_round(
-                        active,
+                        active_population,
                         self.server.payload_bits,
                         config.bandwidth_hz,
                         frequencies,
                         payloads=result.payloads or None,
-                        population=active_population,
                         compute_scale=(
                             fault_round.compute_scale if fault_round else None
                         ),
@@ -909,16 +865,18 @@ class FederatedTrainer:
                         total_upload_energy=0.0,
                         total_slack=0.0,
                     )
-                result, battery_dropped = self._apply_battery(
-                    active, timeline, result
-                )
+                result, battery_dropped = self._apply_battery(timeline, result)
                 if fault_round and fault_round.battery_death:
                     # The battery empties at the round's end, killing
                     # the device's contribution whatever else happened.
                     for device_id in fault_round.battery_death:
-                        device = device_index[device_id]
-                        if device.battery is not None:
-                            device.battery.kill()
+                        position = population.position_of(device_id)
+                        battery = self.devices[position].battery
+                        if battery is not None:
+                            battery.kill()
+                            population.set_battery_charges(
+                                (position,), (battery.charge_joules,)
+                            )
                     result = result.with_statuses(
                         {
                             device_id: STATUS_DROPPED
@@ -976,7 +934,7 @@ class FederatedTrainer:
                         observer.emit(
                             RoundDegradedEvent(
                                 round_index=round_index,
-                                planned=len(selected),
+                                planned=len(selected_ids),
                                 aggregated=len(integrated),
                                 dropped_ids=dropped_ids,
                                 timeout_ids=timeout_ids,
@@ -1039,7 +997,9 @@ class FederatedTrainer:
                     )
                 )
                 observer.metrics.inc("rounds")
-                observer.metrics.inc("clients_selected", float(len(selected)))
+                observer.metrics.inc(
+                    "clients_selected", float(len(selected_ids))
+                )
 
                 # Train loss is weighted over the updates the server
                 # actually integrated: dropped clients may have trained,
@@ -1102,7 +1062,7 @@ class FederatedTrainer:
                     "round %d: %d selected, %d dropped, %d timed out, "
                     "delay %.4fs, energy %.4fJ, train_loss %.5f",
                     round_index,
-                    len(selected),
+                    len(selected_ids),
                     len(dropped_ids),
                     len(timeout_ids),
                     timeline.round_delay,

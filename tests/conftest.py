@@ -8,6 +8,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.devices.cpu import DvfsCpu
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.devices.radio import Radio
 
 
@@ -48,6 +49,21 @@ def make_heterogeneous_devices(count: int = 6, seed: int = 0):
         f_max = float(rng.uniform(0.4e9, 2.0e9))
         devices.append(make_device(device_id=idx, f_max=f_max, seed=seed))
     return devices
+
+
+def select_devices(strategy, round_index, devices):
+    """Run ``strategy.select`` on a snapshot of ``devices``.
+
+    Returns the picked device objects in the strategy's ranked order.
+    """
+    population = DevicePopulation.from_devices(devices)
+    positions = strategy.select(round_index, population)
+    return [devices[position] for position in positions.tolist()]
+
+
+def assign_devices(policy, devices, *args, **kwargs):
+    """Run ``policy.assign`` on a snapshot of ``devices``."""
+    return policy.assign(DevicePopulation.from_devices(devices), *args, **kwargs)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from repro.core.frequency import determine_frequencies
 from repro.core.selection import GreedyDecaySelection
 from repro.fl.strategy import selection_count
 from repro.network.tdma import simulate_tdma_round
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import make_heterogeneous_devices, select_devices
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -28,7 +28,7 @@ class TestSelectionProperties:
         strategy = GreedyDecaySelection(fraction, decay, PAYLOAD, BANDWIDTH)
         expected = selection_count(count, fraction)
         for round_index in range(1, rounds + 1):
-            selected = strategy.select(round_index, devices)
+            selected = select_devices(strategy, round_index, devices)
             assert len(selected) == expected
             ids = [d.device_id for d in selected]
             assert len(ids) == len(set(ids))
@@ -46,7 +46,7 @@ class TestSelectionProperties:
         strategy = GreedyDecaySelection(0.5, decay, PAYLOAD, BANDWIDTH)
         n = selection_count(count, 0.5)
         for round_index in range(1, rounds + 1):
-            strategy.select(round_index, devices)
+            select_devices(strategy, round_index, devices)
         assert sum(strategy.appearance_counts.values()) == n * rounds
 
     @given(count=st.integers(3, 12), seed=st.integers(0, 200))
@@ -56,7 +56,7 @@ class TestSelectionProperties:
         must select exactly the fastest N users."""
         devices = make_heterogeneous_devices(count, seed=seed)
         strategy = GreedyDecaySelection(0.34, 0.5, PAYLOAD, BANDWIDTH)
-        selected = strategy.select(1, devices)
+        selected = select_devices(strategy, 1, devices)
         n = selection_count(count, 0.34)
         fastest = sorted(
             devices,

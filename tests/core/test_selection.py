@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.selection import GreedyDecaySelection
 from repro.core.utility import utility_scores
-from repro.errors import ConfigurationError, SelectionError
+from repro.errors import ConfigurationError, DeviceError, SelectionError
 from repro.fl.strategy import selection_count
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import make_heterogeneous_devices, select_devices
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -41,19 +41,19 @@ class TestGreedyDecay:
     def test_selects_top_utility_first_round(self):
         devices = make_heterogeneous_devices(8)
         strat = strategy(fraction=0.25)
-        selected = strat.select(1, devices)
+        selected = select_devices(strat, 1, devices)
         scores = utility_scores(devices, {}, PAYLOAD, BANDWIDTH, 0.7)
         expected = sorted(devices, key=lambda d: -scores[d.device_id])[:2]
         assert {d.device_id for d in selected} == {d.device_id for d in expected}
 
     def test_selection_size(self):
         devices = make_heterogeneous_devices(10)
-        assert len(strategy(fraction=0.3).select(1, devices)) == 3
+        assert len(select_devices(strategy(fraction=0.3), 1, devices)) == 3
 
     def test_counters_incremented(self):
         devices = make_heterogeneous_devices(8)
         strat = strategy()
-        selected = strat.select(1, devices)
+        selected = select_devices(strat, 1, devices)
         for device in selected:
             assert strat.appearance_counts[device.device_id] == 1
 
@@ -84,7 +84,7 @@ class TestGreedyDecay:
             reference_rounds.append(sorted(chosen))
 
         for round_index, expected in enumerate(reference_rounds, start=1):
-            selected = strat.select(round_index, devices)
+            selected = select_devices(strat, round_index, devices)
             assert sorted(d.device_id for d in selected) == expected
 
     def test_rotation_incorporates_all_users(self):
@@ -93,7 +93,7 @@ class TestGreedyDecay:
         strat = strategy(fraction=0.2, decay=0.5)
         seen = set()
         for round_index in range(1, 40):
-            for device in strat.select(round_index, devices):
+            for device in select_devices(strat, round_index, devices):
                 seen.add(device.device_id)
         assert seen == {d.device_id for d in devices}
 
@@ -104,7 +104,7 @@ class TestGreedyDecay:
             strat = strategy(fraction=0.2, decay=decay)
             seen = set()
             for round_index in range(1, 200):
-                for device in strat.select(round_index, devices):
+                for device in select_devices(strat, round_index, devices):
                     seen.add(device.device_id)
                 if len(seen) == len(devices):
                     return round_index
@@ -115,7 +115,7 @@ class TestGreedyDecay:
     def test_reset_clears_counters(self):
         devices = make_heterogeneous_devices(6)
         strat = strategy()
-        strat.select(1, devices)
+        select_devices(strat, 1, devices)
         strat.reset()
         assert strat.appearance_counts == {}
 
@@ -124,13 +124,15 @@ class TestGreedyDecay:
         a = strategy()
         b = strategy()
         for round_index in range(1, 6):
-            ids_a = [d.device_id for d in a.select(round_index, devices)]
-            ids_b = [d.device_id for d in b.select(round_index, devices)]
+            ids_a = [d.device_id for d in select_devices(a, round_index, devices)]
+            ids_b = [d.device_id for d in select_devices(b, round_index, devices)]
             assert ids_a == ids_b
 
     def test_empty_population_raises(self):
-        with pytest.raises(SelectionError):
-            strategy().select(1, [])
+        # Strategies select from a DevicePopulation, which cannot be
+        # empty: the snapshot itself rejects a fleet of no devices.
+        with pytest.raises(DeviceError):
+            select_devices(strategy(), 1, [])
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -143,4 +145,4 @@ class TestGreedyDecay:
     def test_full_fraction_selects_everyone(self):
         devices = make_heterogeneous_devices(5)
         strat = strategy(fraction=1.0)
-        assert len(strat.select(1, devices)) == 5
+        assert len(select_devices(strat, 1, devices)) == 5

@@ -2,24 +2,28 @@
 
 import pytest
 
-from repro.errors import SelectionError
+from repro.errors import DeviceError
 from repro.fl.strategy import (
     FrequencyPolicy,
     FullParticipation,
     MaxFrequencyPolicy,
     SelectionStrategy,
 )
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import (
+    assign_devices,
+    make_heterogeneous_devices,
+    select_devices,
+)
 
 
 class TestBases:
     def test_selection_strategy_abstract(self):
         with pytest.raises(NotImplementedError):
-            SelectionStrategy().select(1, make_heterogeneous_devices(2))
+            select_devices(SelectionStrategy(), 1, make_heterogeneous_devices(2))
 
     def test_frequency_policy_abstract(self):
         with pytest.raises(NotImplementedError):
-            FrequencyPolicy().assign(make_heterogeneous_devices(2), 1e6, 2e6)
+            assign_devices(FrequencyPolicy(), make_heterogeneous_devices(2), 1e6, 2e6)
 
     def test_reset_is_noop_by_default(self):
         SelectionStrategy().reset()
@@ -32,34 +36,36 @@ class TestBases:
     def test_assign_accepts_round_index_keyword(self):
         devices = make_heterogeneous_devices(3)
         policy = MaxFrequencyPolicy()
-        plain = policy.assign(devices, 1e6, 2e6)
-        with_round = policy.assign(devices, 1e6, 2e6, round_index=12)
+        plain = assign_devices(policy, devices, 1e6, 2e6)
+        with_round = assign_devices(policy, devices, 1e6, 2e6, round_index=12)
         assert plain == with_round
 
     def test_assign_round_index_is_keyword_only(self):
         with pytest.raises(TypeError):
-            MaxFrequencyPolicy().assign(make_heterogeneous_devices(2), 1e6, 2e6, 3)
+            assign_devices(MaxFrequencyPolicy(), make_heterogeneous_devices(2), 1e6, 2e6, 3)
 
 
 class TestFullParticipation:
     def test_selects_everyone(self):
         devices = make_heterogeneous_devices(7)
-        selected = FullParticipation().select(1, devices)
+        selected = select_devices(FullParticipation(), 1, devices)
         assert len(selected) == 7
 
     def test_empty_population_raises(self):
-        with pytest.raises(SelectionError):
-            FullParticipation().select(1, [])
+        # Strategies select from a DevicePopulation, which cannot be
+        # empty: the snapshot itself rejects a fleet of no devices.
+        with pytest.raises(DeviceError):
+            select_devices(FullParticipation(), 1, [])
 
 
 class TestMaxFrequencyPolicy:
     def test_assigns_fmax(self):
         devices = make_heterogeneous_devices(5)
-        freqs = MaxFrequencyPolicy().assign(devices, 1e6, 2e6)
+        freqs = assign_devices(MaxFrequencyPolicy(), devices, 1e6, 2e6)
         for device in devices:
             assert freqs[device.device_id] == device.cpu.f_max
 
     def test_covers_all_selected(self):
         devices = make_heterogeneous_devices(4)
-        freqs = MaxFrequencyPolicy().assign(devices, 1e6, 2e6)
+        freqs = assign_devices(MaxFrequencyPolicy(), devices, 1e6, 2e6)
         assert set(freqs) == {d.device_id for d in devices}
