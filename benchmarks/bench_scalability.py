@@ -16,11 +16,11 @@ the selected clients are independent, so the pooled backends should
 cut wall-clock roughly by the worker count while reproducing the
 serial run bitwise. Run it standalone to measure one backend::
 
-    PYTHONPATH=src python benchmarks/bench_scalability.py \
-        --backend process --workers 4
+    PYTHONPATH=src:. python benchmarks/bench_scalability.py \
+        --backend process+shm --workers 4
 
-On a 4-core host the process backend should show >= 2x speedup over
-serial at 100 users; under pytest the speedup assertion engages only
+On a 4-core host the process+shm backend should show >= 2x speedup
+over serial at 100 users; under pytest the speedup assertion engages only
 when enough cores are available, so the parity checks still run on
 constrained CI hosts.
 
@@ -39,7 +39,8 @@ repro.obs.report --compare`` diffs against the committed baseline.
 
 Part 4 isolates the round *transport*: one ``run_round`` over Q ∈
 {10³, 10⁴} lightweight clients with a ~10⁴-parameter model, through the
-pickle process pool (``process``) and the zero-copy shared-memory pool
+pickle process pool (``benchmarks/pickle_pool.py``, kept outside the
+library as this baseline) and the zero-copy shared-memory pool
 (``process+shm``, :mod:`repro.fl.shm`). Local compute is kept tiny so
 the measured gap is broadcast/collect serialization, the ``2*Q*P*8``
 bytes per round the shm transport eliminates. Updates are asserted
@@ -62,8 +63,10 @@ from repro.experiments.costmodel import run_cost_model_study
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import BACKEND_NAMES
+from repro.fl.shm import SharedMemoryProcessPoolBackend
 from repro.fl.strategy import selection_count
 from repro.obs import RunObserver
+from benchmarks.pickle_pool import ProcessPoolBackend
 from tests.scalar_oracles import (
     object_determine_frequencies,
     object_greedy_decay_rounds,
@@ -264,10 +267,10 @@ def test_backend_scaling(benchmark):
     # The speedup claim needs real cores; skip it on constrained hosts.
     cores = os.cpu_count() or 1
     if cores >= 4:
-        process_time, _, _ = results["process"]
-        assert serial_time / process_time >= 1.5, (
-            f"process backend speedup "
-            f"{serial_time / process_time:.2f}x < 1.5x on {cores} cores"
+        pooled_time, _, _ = results["process+shm"]
+        assert serial_time / pooled_time >= 1.5, (
+            f"process+shm backend speedup "
+            f"{serial_time / pooled_time:.2f}x < 1.5x on {cores} cores"
         )
 
 
@@ -394,7 +397,10 @@ def run_sharded_smoke(q=100_000, shard_size=8_192, rounds=1, seed=7):
 # ----------------------------------------------------------------------
 # Part 4: pickle vs shared-memory round transport
 # ----------------------------------------------------------------------
-TRANSPORT_BACKENDS = ("process", "process+shm")
+TRANSPORT_BACKENDS = {
+    "pickle": ProcessPoolBackend,
+    "shm": SharedMemoryProcessPoolBackend,
+}
 
 
 def _transport_model(seed: int = 7):
@@ -438,7 +444,7 @@ def run_transport_study(
         (broadcast + collect) and the shm path moves through shared
         blocks instead.
     """
-    from repro.fl.execution import LocalUpdateSpec, create_backend
+    from repro.fl.execution import LocalUpdateSpec
 
     model = _transport_model(seed)
     spec = LocalUpdateSpec(learning_rate=0.1, seed=seed)
@@ -450,8 +456,8 @@ def run_transport_study(
         walls = {name: float("inf") for name in TRANSPORT_BACKENDS}
         updates_by_backend = {}
         backends = {
-            name: create_backend(name, workers=workers)
-            for name in TRANSPORT_BACKENDS
+            name: make_backend(workers=workers)
+            for name, make_backend in TRANSPORT_BACKENDS.items()
         }
         try:
             for name, backend in backends.items():
@@ -476,11 +482,11 @@ def run_transport_study(
             )
             assert want.loss == got.loss
         study[q] = {
-            "pickle_s": walls["process"],
-            "shm_s": walls["process+shm"],
+            "pickle_s": walls["pickle"],
+            "shm_s": walls["shm"],
             "speedup": (
-                walls["process"] / walls["process+shm"]
-                if walls["process+shm"] > 0
+                walls["pickle"] / walls["shm"]
+                if walls["shm"] > 0
                 else float("inf")
             ),
             "param_count": param_count,
@@ -628,7 +634,7 @@ def _main() -> int:
     parser = argparse.ArgumentParser(
         description="Time an execution backend against serial at Q=100."
     )
-    parser.add_argument("--backend", choices=BACKEND_NAMES, default="process")
+    parser.add_argument("--backend", choices=BACKEND_NAMES, default="process+shm")
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--users", type=int, default=100)
     parser.add_argument("--rounds", type=int, default=3)

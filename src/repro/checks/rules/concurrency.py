@@ -1,12 +1,12 @@
 """REP005 — pool-dispatched workers never assign module-level globals.
 
-:class:`~repro.fl.execution.ThreadPoolBackend` runs client tasks
-concurrently in one interpreter: a worker function that writes a
-module-level global races against its siblings, and — worse for this
-repo — makes results depend on scheduling order, destroying the
-bitwise backend-parity guarantee. Process pools hide the same bug
-differently (each process mutates its own copy, so state silently
-diverges from the parent).
+The ``process+shm`` execution backend (:mod:`repro.fl.shm`) and the
+campaign pool run worker functions in other processes: a worker that
+writes a module-level global mutates only its own process's copy, so
+state silently diverges from the parent and — worse for this repo —
+results start to depend on which worker ran which task, destroying the
+bitwise backend-parity guarantee. Under a thread pool the same write
+is an outright race.
 
 The rule finds dispatch sites (``pool.map(fn, ...)``,
 ``pool.submit(fn, ...)``, ``Executor(initializer=fn)``), resolves the
@@ -92,10 +92,11 @@ class ConcurrencySafetyRule(Rule):
     rule_id = "REP005"
     title = "concurrency safety: no global writes in pool workers"
     rationale = (
-        "ThreadPoolBackend workers share one interpreter; a global "
-        "write races and makes results scheduling-dependent, breaking "
-        "bitwise backend parity. Intentional per-process initializer "
-        "state needs an explicit # repro: allow[REP005] justification."
+        "a global written by a pool worker diverges per process (or "
+        "races under threads) and makes results depend on which worker "
+        "ran which task, breaking bitwise backend parity. Intentional "
+        "per-process initializer state needs an explicit "
+        "# repro: allow[REP005] justification."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

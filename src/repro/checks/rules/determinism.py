@@ -1,6 +1,6 @@
 """REP001 — all randomness flows through seeded generators.
 
-Bitwise backend parity (serial/thread/process producing identical
+Bitwise backend parity (serial and process+shm producing identical
 histories) holds only because every stochastic component draws from a
 ``numpy.random.Generator`` rooted in the experiment's master seed via
 :mod:`repro.rng`. Three constructs silently break that chain:

@@ -5,10 +5,9 @@ trainer's round loop) moves one flat float64 vector per client per
 direction. Packing such a vector into a task or result literal hands it
 to the process pool's pickler — ``2 * Q * P * 8`` serialized bytes per
 round — which is exactly the copy the :class:`~repro.fl.shm.SharedArrayPool`
-zero-copy transport exists to eliminate. New code must route parameter
-vectors through the shared blocks; the plain process pool's deliberate
-pickle fallback carries an explicit ``# repro: allow[REP007] <why>``
-suppression.
+zero-copy transport exists to eliminate. Parameter vectors go through
+the shared blocks; a deliberate exception needs an explicit
+``# repro: allow[REP007] <why>`` suppression.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ class ParamPicklingRule(Rule):
         "per direction out to worker processes; putting that vector "
         "into a pickled task or result tuple serializes 2*Q*P*8 bytes "
         "per round, the exact copy the shared-memory transport removes. "
-        "The plain process pool's pickle fallback is the only sanctioned "
-        "exception and carries an explicit suppression."
+        "A deliberate exception needs an explicit suppression."
     )
 
     def applies(self, ctx: ModuleContext) -> bool:

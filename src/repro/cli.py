@@ -74,7 +74,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process backends "
+        help="worker count for the process+shm backend "
         "(default: CPU count)",
     )
     parser.add_argument(

@@ -2,9 +2,8 @@
 
 Contains the FLCC server, the local client trainer (Eq. 3), FedAvg
 aggregation (Eq. 18), the pluggable client-execution backends
-(serial / thread pool / process pool / zero-copy shared-memory process
-pool), the synchronous round loop with
-TDMA cost simulation, and the training history with time-to-accuracy
+(serial / zero-copy shared-memory process pool), the synchronous round
+loop with TDMA cost simulation, and the training history with time-to-accuracy
 and energy-to-accuracy queries used by the paper's Table I and Fig. 3.
 """
 
@@ -15,10 +14,8 @@ from repro.fl.execution import (
     ClientUpdate,
     ExecutionBackend,
     LocalUpdateSpec,
-    ProcessPoolBackend,
     RoundResult,
     SerialBackend,
-    ThreadPoolBackend,
     create_backend,
 )
 from repro.fl.history import RoundRecord, TrainingHistory
@@ -40,12 +37,10 @@ __all__ = [
     "ClientUpdate",
     "ExecutionBackend",
     "LocalUpdateSpec",
-    "ProcessPoolBackend",
     "RoundResult",
     "SerialBackend",
     "SharedArrayPool",
     "SharedMemoryProcessPoolBackend",
-    "ThreadPoolBackend",
     "create_backend",
     "RoundRecord",
     "TrainingHistory",

@@ -7,18 +7,19 @@ dataset. The trainer therefore delegates the per-round fan-out to an
 
 * :class:`SerialBackend` — one shared scratch model, clients in
   selection order (the original loop);
-* :class:`ThreadPoolBackend` — a thread pool with one scratch model
-  per worker thread; numpy releases the GIL inside BLAS calls, so the
-  matmul-heavy forward/backward passes genuinely overlap;
-* :class:`ProcessPoolBackend` — a process pool whose workers each
-  build their own scratch model and cache the device datasets at pool
-  start-up, so a round only ships ``(device_id, learning_rate,
-  global_params)`` per task;
 * ``SharedMemoryProcessPoolBackend`` (:mod:`repro.fl.shm`, registry
-  name ``"process+shm"``) — the process pool plus
-  :class:`~repro.fl.shm.SharedArrayPool`: broadcast and trained
-  parameter vectors travel through ``multiprocessing.shared_memory``
-  blocks, so a round pickles only scalars per task.
+  name ``"process+shm"``) — a process pool whose workers build their
+  own scratch model and cache the device datasets at pool start-up;
+  broadcast and trained parameter vectors travel through
+  ``multiprocessing.shared_memory`` blocks, so a round pickles only
+  scalars per task.
+
+On a 2-core host, serial was the fastest at paper scale (Q = 100,
+N = 10) and at Q = 2000 (N = 100); the shm pool was the fastest at
+Q = 10^4 (N = 500). A thread pool and a pickle-transport process pool
+were slower than one of these two on every measured workload and were
+removed; the pickle pool survives only as the transport study's
+baseline in ``benchmarks/pickle_pool.py``.
 
 All backends are *bitwise equivalent*: every client trains on its own
 model clone starting from the same broadcast vector, mini-batch
@@ -62,8 +63,6 @@ __all__ = [
     "LocalUpdateSpec",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "BACKEND_NAMES",
     "create_backend",
 ]
@@ -495,226 +494,13 @@ class SerialBackend(ExecutionBackend):
         return updates
 
 
-class ThreadPoolBackend(ExecutionBackend):
-    """Clients fan out across a thread pool.
-
-    Each worker thread lazily clones its own scratch model
-    (thread-local), so concurrent clients never share layer buffers.
-    numpy's BLAS kernels drop the GIL, which is where the overlap
-    comes from.
-
-    Args:
-        workers: pool size; ``None`` uses ``os.cpu_count()``.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__()
-        self.workers = _check_workers(workers)
-        self._template: Optional[Sequential] = None
-        self._pool = None
-        self._local = None
-
-    def _bind(self, model_template, spec, devices) -> None:
-        del devices
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.close()
-        self._template = model_template.clone()
-        self._local = threading.local()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-client"
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._local = None
-
-    def _scratch(self) -> Sequential:
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._template.clone()
-            self._local.scratch = scratch
-        return scratch
-
-    def _run(self, round_index, global_params, selected, learning_rate):
-        if self._pool is None:
-            raise TrainingError("ThreadPoolBackend is closed; re-bind it")
-        sampling = self._sample_tasks
-
-        def task(device: UserDevice):
-            token = begin_task_sample() if sampling else None
-            update = _train_one(
-                self._scratch(),
-                self._spec,
-                round_index,
-                learning_rate,
-                global_params,
-                device.device_id,
-                device.dataset,
-                float(device.num_samples),
-            )
-            return update, (
-                end_task_sample(token) if token is not None else None
-            )
-
-        results = list(self._pool.map(task, selected))
-        if sampling:
-            # Collected in map (= selection) order, not completion
-            # order, so the emitted span sequence is deterministic.
-            self._task_samples.extend(
-                (device.device_id, sample)
-                for device, (_, sample) in zip(selected, results)
-            )
-        return [update for update, _ in results]
-
-
-# -- process-pool worker plumbing (module level for picklability) ------
-_WORKER_STATE: dict = {}
-
-
-def _process_worker_init(
-    model: Sequential,
-    spec: LocalUpdateSpec,
-    datasets,
-    log_level=None,
-):
-    """Build one worker's scratch model and dataset cache.
-
-    The writes below are the deliberate process-pool initializer
-    pattern: each pool *process* runs this exactly once, before any
-    task, so its copy of ``_WORKER_STATE`` is populated single-threaded
-    and never mutated again. ``log_level`` re-applies the parent's
-    logging configuration inside the worker process, so warnings
-    raised during local updates reach stderr instead of vanishing.
-    """
-    if log_level is not None:
-        from repro.obs import configure_logging
-
-        configure_logging(log_level)
-    _WORKER_STATE["scratch"] = model  # repro: allow[REP005] per-process init, pre-task
-    _WORKER_STATE["spec"] = spec  # repro: allow[REP005] per-process init, pre-task
-    _WORKER_STATE["datasets"] = datasets  # repro: allow[REP005] per-process init, pre-task
-
-
-def _process_worker_run(task):
-    round_index, learning_rate, global_params, device_id, weight, dataset, sample = task
-    if dataset is None:
-        dataset = _WORKER_STATE["datasets"][device_id]
-    token = begin_task_sample() if sample else None
-    update = _train_one(
-        _WORKER_STATE["scratch"],
-        _WORKER_STATE["spec"],
-        round_index,
-        learning_rate,
-        global_params,
-        device_id,
-        dataset,
-        weight,
-    )
-    # The resource sample is taken in the *worker* process, then rides
-    # home with the result (scalars only) for the parent to emit.
-    taken = end_task_sample(token) if token is not None else None
-    # Pickle-transport fallback path; the zero-copy route is repro.fl.shm.
-    return update.device_id, update.params, update.weight, update.loss, taken  # repro: allow[REP007] pickle fallback backend
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Clients fan out across a process pool.
-
-    The pool initializer ships the model template, the local-update
-    spec, and every bound device's dataset to each worker exactly once;
-    a round's tasks then carry only ``(device_id, learning_rate,
-    global_params)``. Devices that appear at run time without having
-    been bound fall back to shipping their dataset with the task.
-
-    Args:
-        workers: pool size; ``None`` uses ``os.cpu_count()``.
-        log_level: when given, each worker process re-applies this
-            logging level at pool start-up so worker-side warnings
-            surface on stderr.
-    """
-
-    name = "process"
-
-    def __init__(
-        self, workers: Optional[int] = None, log_level=None
-    ) -> None:
-        super().__init__()
-        self.workers = _check_workers(workers)
-        self.log_level = log_level
-        self._pool = None
-        self._known_ids: set = set()
-
-    def _bind(self, model_template, spec, devices) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        self.close()
-        datasets = {d.device_id: d.dataset for d in devices}
-        self._known_ids = set(datasets)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_process_worker_init,
-            initargs=(model_template.clone(), spec, datasets, self.log_level),
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _run(self, round_index, global_params, selected, learning_rate):
-        if self._pool is None:
-            raise TrainingError("ProcessPoolBackend is closed; re-bind it")
-        sampling = self._sample_tasks
-        tasks = [
-            (
-                round_index,
-                learning_rate,
-                global_params,  # repro: allow[REP007] pickle fallback backend
-                device.device_id,
-                float(device.num_samples),
-                None if device.device_id in self._known_ids else device.dataset,
-                sampling,
-            )
-            for device in selected
-        ]
-        updates = []
-        for device_id, params, weight, loss, sample in self._pool.map(
-            _process_worker_run,
-            tasks,
-            chunksize=_map_chunksize(len(tasks), self.workers),
-        ):
-            updates.append(
-                ClientUpdate(
-                    device_id=device_id,
-                    params=params,
-                    weight=weight,
-                    loss=loss,
-                )
-            )
-            if sampling:
-                self._task_samples.append((device_id, sample))
-        return updates
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_BACKENDS = {
-    "serial": SerialBackend,
-    "thread": ThreadPoolBackend,
-    "process": ProcessPoolBackend,
-}
-
 # The shm-backed process pool lives in repro.fl.shm (which imports this
 # module), so the registry holds its name and create_backend imports it
 # lazily to avoid a circular import.
-BACKEND_NAMES: Tuple[str, ...] = tuple(_BACKENDS) + ("process+shm",)
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "process+shm")
 
 
 def create_backend(
@@ -724,11 +510,10 @@ def create_backend(
 
     Args:
         name: one of :data:`BACKEND_NAMES`.
-        workers: pool size for the pooled backends; ignored by
-            ``serial``.
-        log_level: logging level re-applied inside pool *worker
-            processes* (``process`` / ``process+shm``); in-process
-            backends inherit the parent's logger and ignore it.
+        workers: pool size for ``process+shm``; ignored by ``serial``.
+        log_level: logging level re-applied inside the ``process+shm``
+            *worker processes*; ``serial`` runs in the parent and
+            ignores it.
     """
     key = str(name).strip().lower()
     if key not in BACKEND_NAMES:
@@ -738,12 +523,6 @@ def create_backend(
         )
     if key == "serial":
         return SerialBackend()
-    if key == "thread":
-        return ThreadPoolBackend(workers=workers)
-    if key == "process+shm":
-        from repro.fl.shm import SharedMemoryProcessPoolBackend
+    from repro.fl.shm import SharedMemoryProcessPoolBackend
 
-        return SharedMemoryProcessPoolBackend(
-            workers=workers, log_level=log_level
-        )
-    return ProcessPoolBackend(workers=workers, log_level=log_level)
+    return SharedMemoryProcessPoolBackend(workers=workers, log_level=log_level)

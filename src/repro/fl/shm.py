@@ -1,9 +1,10 @@
 """Zero-copy shared-memory transport for the process-pool backend.
 
-:class:`ProcessPoolBackend` pickles the broadcast flat vector into every
-task and pickles every trained vector back — ``2 * Q * P * 8`` bytes of
-serialization per round for ``Q`` selected clients and ``P`` parameters.
-This module removes both copies:
+A process pool that pickled the broadcast flat vector into every task
+and every trained vector back would serialize ``2 * Q * P * 8`` bytes
+per round for ``Q`` selected clients and ``P`` parameters (that pickle
+pool is kept as the transport study's baseline in
+``benchmarks/pickle_pool.py``). This module removes both copies:
 
 * the trainer writes the broadcast vector once into a shared
   ``multiprocessing.shared_memory`` block; workers map it read-only;
@@ -13,8 +14,9 @@ This module removes both copies:
   learning_rate, device_id, slot, weight, result_block_name)`` — and a
   result only ``(device_id, slot, weight, loss)``.
 
-Datasets stay resident in worker state across rounds exactly as in the
-plain process pool.
+Datasets ship to each worker once, at pool start-up, and stay resident
+in worker state across rounds; a device that was not bound ships its
+dataset with its task.
 
 Lifecycle: :class:`SharedArrayPool` creates the broadcast block when the
 backend binds, grows the result block on demand (generation-numbered

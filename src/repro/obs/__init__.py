@@ -24,23 +24,14 @@ Typical use::
 From the CLI the same is ``python -m repro run helcfl --trace
 run.jsonl``; validate a trace with ``python -m repro.obs.validate
 run.jsonl``. Analyze a finished trace with ``python -m
-repro.obs.report run.jsonl`` (or diff two runs with ``--compare``);
-the underlying analytics live in :mod:`repro.obs.analysis`.
+repro.obs.report run.jsonl`` (or diff two runs with ``--compare``).
+
+This package exports only the run-time half. The offline analytics
+(:mod:`repro.obs.analysis`, :mod:`repro.obs.chrome_trace`,
+:mod:`repro.obs.report`) are imported from their own modules, so
+importing the training stack never loads them.
 """
 
-from repro.obs.analysis import (
-    LoadedTrace,
-    RunStats,
-    SpanSummary,
-    compare_stats,
-    compute_run_stats,
-    load_trace,
-    render_report,
-    self_time_rows,
-    split_runs,
-    summarize_spans,
-)
-from repro.obs.chrome_trace import chrome_trace_document, render_chrome_trace
 from repro.obs.events import (
     EVENT_TYPES,
     AggregationEvent,
@@ -125,16 +116,4 @@ __all__ = [
     "CollectingSink",
     "JsonlTraceSink",
     "open_trace_file",
-    "LoadedTrace",
-    "RunStats",
-    "SpanSummary",
-    "load_trace",
-    "split_runs",
-    "compute_run_stats",
-    "summarize_spans",
-    "self_time_rows",
-    "render_report",
-    "compare_stats",
-    "chrome_trace_document",
-    "render_chrome_trace",
 ]

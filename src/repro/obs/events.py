@@ -397,7 +397,7 @@ class WorkerResourceEvent(Event):
     Emitted between a span's start and end events (so analysis
     attributes it to that span). For process-backend task spans the
     sample is taken *inside the worker* and shipped back with the
-    result; for serial/thread backends it describes the parent
+    result; for the serial backend it describes the parent
     process. Values are observational only and never enter compared
     metrics.
 

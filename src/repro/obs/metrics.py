@@ -12,8 +12,8 @@ trainer and the execution backends record into it through the
   (``selection``, ``frequency_assignment``, ``run_round``,
   ``aggregation``), making backend overhead directly measurable.
 
-The registry is thread-safe (the thread backend's workers may share
-it) and purely observational: nothing in the training loop ever reads
+The registry is thread-safe (callers may share it across threads)
+and purely observational: nothing in the training loop ever reads
 it back.
 """
 

@@ -32,6 +32,7 @@ from repro.campaign.runner import (
 )
 from repro.errors import SerializationError
 from repro.experiments.runner import build_environment, build_trainer
+from repro.fl.execution import BACKEND_NAMES
 from repro.fl.checkpoint import load_checkpoint
 from repro.obs import JsonlTraceSink, RunObserver
 from tests.campaign.conftest import tiny_run
@@ -114,7 +115,9 @@ class TestResumeParity:
         assert result["run_id"] == run.run_id
         assert_bitwise_identical(run_dir, reference_run_dir)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "backend", [n for n in BACKEND_NAMES if n != "serial"]
+    )
     def test_resume_across_backends(
         self, backend, tmp_path, reference_run_dir
     ):

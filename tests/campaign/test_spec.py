@@ -45,9 +45,9 @@ class TestExpansion:
         assert spec.expand() == spec.expand()
 
     def test_run_spec_carries_matrix_constants(self):
-        spec = tiny_campaign(backend="thread", workers=2, checkpoint_every=3)
+        spec = tiny_campaign(backend="process+shm", workers=2, checkpoint_every=3)
         for run in spec.expand():
-            assert run.backend == "thread"
+            assert run.backend == "process+shm"
             assert run.workers == 2
             assert run.checkpoint_every == 3
 
@@ -119,6 +119,11 @@ class TestValidation:
             tiny_campaign(max_retries=-1)
         with pytest.raises(ConfigurationError, match="backend"):
             tiny_campaign(backend="quantum")
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_removed_backend_names_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="backend"):
+            tiny_campaign(backend=backend)
 
     def test_name_required(self):
         with pytest.raises(ConfigurationError, match="name"):

@@ -33,15 +33,13 @@ from repro.faults import (
     FaultPlan,
     StragglerFault,
 )
-from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from repro.obs import CollectingSink, RunObserver
+from tests.backends import PARITY_BACKENDS, make_backend
 from tests.conftest import make_heterogeneous_devices
-
-BACKENDS = ["serial", "thread", "process", "process+shm"]
 
 
 def make_setup(num_devices=8, seed=3):
@@ -124,11 +122,11 @@ class TestFaultsArgument:
 
 
 class TestEmptyPlanParity:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", PARITY_BACKENDS)
     def test_bitwise_identical_to_no_faults(self, backend_name):
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             baseline, _ = run_training(faults=None, backend=backend)
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             empty, _ = run_training(faults=FaultPlan(seed=123), backend=backend)
         assert empty.to_dict() == baseline.to_dict()
 
@@ -148,10 +146,10 @@ class TestSeededPlanDeterminism:
         assert first.to_dict() == second.to_dict()
         assert any(r.dropped_ids for r in first.records)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", PARITY_BACKENDS)
     def test_backends_agree_under_chaos(self, backend_name):
         serial, _ = run_training(faults=lossy_plan(), rounds=5)
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             other, _ = run_training(
                 faults=lossy_plan(), backend=backend, rounds=5
             )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.pickle_pool import ProcessPoolBackend
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigurationError, TrainingError
@@ -10,10 +11,8 @@ from repro.fl.execution import (
     BACKEND_NAMES,
     ClientUpdate,
     LocalUpdateSpec,
-    ProcessPoolBackend,
     RoundResult,
     SerialBackend,
-    ThreadPoolBackend,
     create_backend,
 )
 from repro.fl.server import FederatedServer
@@ -107,14 +106,12 @@ class TestLocalUpdateSpec:
 
 class TestRegistry:
     def test_names(self):
-        assert BACKEND_NAMES == ("serial", "thread", "process", "process+shm")
+        assert BACKEND_NAMES == ("serial", "process+shm")
 
     @pytest.mark.parametrize(
         "name,cls",
         [
             ("serial", SerialBackend),
-            ("thread", ThreadPoolBackend),
-            ("process", ProcessPoolBackend),
             ("process+shm", SharedMemoryProcessPoolBackend),
         ],
     )
@@ -132,9 +129,9 @@ class TestRegistry:
 
     def test_invalid_workers(self):
         with pytest.raises(ConfigurationError):
-            ThreadPoolBackend(workers=0)
+            SharedMemoryProcessPoolBackend(workers=0)
         with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(workers=-1)
+            SharedMemoryProcessPoolBackend(workers=-1)
 
     def test_run_before_bind_raises(self):
         with pytest.raises(TrainingError):
@@ -166,11 +163,14 @@ def run_with_backend(backend, num_devices=10, seed=3, **config_kwargs):
 
 
 class TestBackendParity:
-    """Thread and process pools reproduce the serial run bitwise."""
+    """The process pools reproduce the serial run bitwise.
+
+    ``ProcessPoolBackend`` is the transport study's pickle-pool
+    baseline (``benchmarks/pickle_pool.py``), not a library backend.
+    """
 
     @pytest.mark.parametrize(
-        "make_backend",
-        [ThreadPoolBackend, ProcessPoolBackend, SharedMemoryProcessPoolBackend],
+        "make_backend", [ProcessPoolBackend, SharedMemoryProcessPoolBackend]
     )
     def test_full_batch_parity(self, make_backend):
         serial = run_with_backend(SerialBackend())
@@ -187,13 +187,15 @@ class TestBackendParity:
         # so they too are backend-independent.
         kwargs = dict(batch_size=8, local_steps=2, minibatch_seed=5)
         serial = run_with_backend(SerialBackend(), **kwargs)
-        threaded = run_with_backend(ThreadPoolBackend(workers=3), **kwargs)
-        for want, got in zip(serial.records, threaded.records):
+        pooled = run_with_backend(
+            SharedMemoryProcessPoolBackend(workers=3), **kwargs
+        )
+        for want, got in zip(serial.records, pooled.records):
             assert got.train_loss == want.train_loss
             assert got.test_accuracy == want.test_accuracy
 
-    def test_thread_backend_rebind_after_close(self):
-        backend = ThreadPoolBackend(workers=2)
+    def test_pool_rebind_after_close(self):
+        backend = SharedMemoryProcessPoolBackend(workers=2)
         first = run_with_backend(backend)  # context manager closes it
         second = run_with_backend(backend)  # trainer re-binds
         assert [r.test_accuracy for r in first.records] == [
@@ -201,7 +203,7 @@ class TestBackendParity:
         ]
 
     def test_closed_pool_raises_without_bind(self):
-        backend = ThreadPoolBackend(workers=1)
+        backend = SharedMemoryProcessPoolBackend(workers=1)
         server, devices = make_setup()
         backend.bind(server.model, LocalUpdateSpec(), devices)
         backend.close()

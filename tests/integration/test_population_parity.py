@@ -38,13 +38,13 @@ from repro.faults import (
     FaultPlan,
     StragglerFault,
 )
-from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import over_selection_extras_population
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.network.channel import RayleighFadingChannel
 from repro.network.tdma import _stage_population, simulate_tdma_round
 from repro.nn.architectures import build_mlp
+from tests.backends import PARITY_BACKENDS, make_backend
 from tests.scalar_oracles import (
     object_determine_frequencies,
     object_greedy_decay_rounds,
@@ -58,8 +58,7 @@ BANDWIDTH = 2e6
 SEEDS = (0, 1, 2)
 
 # Recorded runs: (sha256 of the history JSON, ledger total joules as
-# float.hex()). The serial, thread and process backends all produced
-# the "faults2" digest.
+# float.hex()). Every execution backend produces the "faults2" digest.
 TRAINER_GOLDENS = {
     "seed0": (
         "f89bbf1c76e7747499dd0826e2bedc20a58a2ce44ba16006c6e4002af796ec14",
@@ -400,9 +399,9 @@ class TestTrainerParity:
     def test_parity_holds_under_seeded_faults(self):
         assert run_digest(9, faults=lossy_plan()) == TRAINER_GOLDENS["faults9"]
 
-    @pytest.mark.parametrize("backend_name", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("backend_name", PARITY_BACKENDS)
     def test_parity_on_every_backend(self, backend_name):
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             got = run_digest(2, backend=backend, faults=lossy_plan())
         assert got == TRAINER_GOLDENS["faults2"]
 

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fl.execution import create_backend
 from repro.obs.analysis import (
     ANALYSIS_SCHEMA,
     compute_run_stats,
     load_trace,
     render_report,
 )
+from tests.backends import PARITY_BACKENDS, make_backend
 from tests.obs.analysis.conftest import run_traced_helcfl
 
 
@@ -77,12 +77,14 @@ class TestDeterminism:
                 stats, fmt=fmt
             )
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "backend_name", [n for n in PARITY_BACKENDS if n != "serial"]
+    )
     def test_reports_identical_across_backends(self, backend_name, tmp_path):
         serial_path = tmp_path / "serial.jsonl"
         other_path = tmp_path / f"{backend_name}.jsonl"
         run_traced_helcfl(serial_path, rounds=3)
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             run_traced_helcfl(other_path, rounds=3, backend=backend)
 
         serial = compute_run_stats(load_trace(str(serial_path)).events)

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import chrome_trace_document, render_chrome_trace
+from repro.obs.chrome_trace import chrome_trace_document, render_chrome_trace
 from tests.obs.analysis.test_spans import end, start, tree_events
 
 

@@ -20,8 +20,10 @@ import os
 
 import pytest
 
-from repro.fl.execution import BACKEND_NAMES, create_backend
-from repro.obs import RunObserver, summarize_spans, validate_event
+from repro.fl.execution import BACKEND_NAMES
+from repro.obs import RunObserver, validate_event
+from repro.obs.analysis import summarize_spans
+from tests.backends import make_backend
 from tests.obs.test_tracing import make_setup, make_trainer
 
 SPAN_KINDS = ("span_start", "span_end", "worker_resource")
@@ -38,7 +40,7 @@ def run_traced(tmp_path, backend_name=None, spans=True, seed=7, rounds=3,
                 server, devices, observer=observer, rounds=rounds
             ).run()
         else:
-            with create_backend(backend_name, workers=2) as backend:
+            with make_backend(backend_name, workers=2) as backend:
                 history = make_trainer(
                     server, devices, observer=observer, backend=backend,
                     rounds=rounds,

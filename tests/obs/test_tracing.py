@@ -20,7 +20,6 @@ import pytest
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
 from repro.devices.battery import Battery
-from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
@@ -32,6 +31,7 @@ from repro.obs import (
     StopReason,
     validate_event,
 )
+from tests.backends import PARITY_BACKENDS, make_backend
 from tests.conftest import make_heterogeneous_devices
 
 
@@ -285,12 +285,12 @@ class TestCrashedRunTrace:
 
 
 class TestTracingIsReadOnly:
-    @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend_name", PARITY_BACKENDS)
     def test_history_parity_tracing_on_vs_off(self, backend_name, tmp_path):
         kwargs = dict(rounds=2, batch_size=8)
 
         server1, devices1 = make_setup(seed=5)
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             plain = make_trainer(
                 server1, devices1, backend=backend, **kwargs
             ).run()
@@ -299,7 +299,7 @@ class TestTracingIsReadOnly:
         observer = RunObserver(
             sink=JsonlTraceSink(str(tmp_path / "trace.jsonl"))
         )
-        with create_backend(backend_name, workers=2) as backend:
+        with make_backend(backend_name, workers=2) as backend:
             traced = make_trainer(
                 server2, devices2, observer=observer, backend=backend, **kwargs
             ).run()

@@ -30,10 +30,10 @@ class TestParser:
 
     def test_backend_flags(self):
         args = build_parser().parse_args(
-            ["run", "helcfl", "--quick", "--backend", "thread",
+            ["run", "helcfl", "--quick", "--backend", "process+shm",
              "--workers", "4"]
         )
-        assert args.backend == "thread" and args.workers == 4
+        assert args.backend == "process+shm" and args.workers == 4
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -58,17 +58,17 @@ class TestCommands:
                      "--noniid"]) == 0
         assert "Classic FL" in capsys.readouterr().out
 
-    def test_run_thread_backend_matches_serial(self, capsys):
+    def test_run_pooled_backend_matches_serial(self, capsys):
         assert main(["run", "helcfl", "--quick", "--rounds", "4"]) == 0
         serial_out = capsys.readouterr().out
         assert main(["run", "helcfl", "--quick", "--rounds", "4",
-                     "--backend", "thread", "--workers", "2"]) == 0
-        thread_out = capsys.readouterr().out
-        assert "backend=thread" in thread_out
+                     "--backend", "process+shm", "--workers", "2"]) == 0
+        pooled_out = capsys.readouterr().out
+        assert "backend=process+shm" in pooled_out
         pick = lambda text: [
             line for line in text.splitlines() if "accuracy" in line
         ]
-        assert pick(serial_out) == pick(thread_out)
+        assert pick(serial_out) == pick(pooled_out)
 
     def test_fig2_quick(self, capsys):
         assert main(["fig2", "--quick", "--rounds", "4"]) == 0
